@@ -19,11 +19,6 @@ from .errors import DomainError
 from .meanfield import HyperParams, chi1, correlation_slope, _scale_from_factor
 from .quadrature import QuadratureRule
 
-#: Width-ratio conventions for the error-variance recurrence. The
-#: derivation-backed form uses N_{l+1}/N_{l+2}; the alternative
-#: N_{l+1}/N_l is kept behind a switch. They coincide for constant widths.
-RATIO_CONVENTIONS = ("derivation", "adjacent")
-
 
 def xi_grad(chi1_value: float) -> float:
     """Signed gradient depth scale -1/log(chi1).
@@ -36,21 +31,7 @@ def xi_grad(chi1_value: float) -> float:
     return _scale_from_factor(chi1_value, allow_growth=True)
 
 
-def _width_ratio(widths, l: int, convention: str) -> float:
-    if convention == "derivation":
-        # Indices past the last layer refer to the readout; treat them as
-        # equal to the final width.
-        upper = widths[min(l + 2, len(widths) - 1)]
-        return widths[min(l + 1, len(widths) - 1)] / upper
-    if convention == "adjacent":
-        return widths[min(l + 1, len(widths) - 1)] / widths[l]
-    raise DomainError(
-        f"unknown width-ratio convention {convention!r}; "
-        f"expected one of {RATIO_CONVENTIONS}"
-    )
-
-
-def _backward_fill(factor: float, widths, seed: float, convention: str) -> np.ndarray:
+def _backward_fill(factor: float, widths, seed: float) -> np.ndarray:
     widths = list(widths)
     if not widths or any(n <= 0 for n in widths):
         raise DomainError(f"widths must be a nonempty list of positive ints, got {widths}")
@@ -60,20 +41,22 @@ def _backward_fill(factor: float, widths, seed: float, convention: str) -> np.nd
     out = np.empty(n_layers)
     out[-1] = seed
     for l in range(n_layers - 2, -1, -1):
-        out[l] = out[l + 1] * _width_ratio(widths, l, convention) * factor
+        # Width ratio N_{l+1}/N_{l+2}; the index past the last layer refers
+        # to the readout, treated as equal to the final width.
+        ratio = widths[l + 1] / widths[min(l + 2, n_layers - 1)]
+        out[l] = out[l + 1] * ratio * factor
     return out
 
 
 def grad_variance_trajectory(hp: HyperParams, act: Activation, q_star: float,
                              widths, q_tilde_L: float = 1.0,
-                             quad: QuadratureRule | None = None,
-                             convention: str = "derivation") -> np.ndarray:
+                             quad: QuadratureRule | None = None) -> np.ndarray:
     """Per-layer error variance, filled backwards from the output layer.
 
     For constant widths this is q_tilde_L * chi1 ** (L - l).
     """
     factor = chi1(hp, act, q_star, quad)
-    return _backward_fill(factor, widths, q_tilde_L, convention)
+    return _backward_fill(factor, widths, q_tilde_L)
 
 
 def grad_covariance_factor(hp: HyperParams, act: Activation, q_star: float,
@@ -91,10 +74,9 @@ def grad_covariance_factor(hp: HyperParams, act: Activation, q_star: float,
 def grad_covariance_trajectory(hp: HyperParams, act: Activation, q_star: float,
                                c_star: float, widths,
                                q_tilde_ab_L: float = 1.0,
-                               quad: QuadratureRule | None = None,
-                               convention: str = "derivation") -> np.ndarray:
+                               quad: QuadratureRule | None = None) -> np.ndarray:
     """Per-layer error covariance between two inputs, filled backwards."""
     if abs(c_star) > 1:
         raise DomainError(f"|c_star| must be <= 1, got {c_star}")
     factor = grad_covariance_factor(hp, act, q_star, c_star, quad)
-    return _backward_fill(factor, widths, q_tilde_ab_L, convention)
+    return _backward_fill(factor, widths, q_tilde_ab_L)

@@ -81,10 +81,9 @@ def _add_common(parser: argparse.ArgumentParser, *, simulate: bool = False) -> N
                         choices=("csv", "json"), help="output format")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output file (default: stdout)")
-    parser.add_argument("--quad-order", type=int,
-                        default=quadrature.default_order(),
-                        help="Gauss-Hermite quadrature order "
-                             f"(env {quadrature._ORDER_ENV_VAR} overrides the default)")
+    parser.add_argument("--quad-order", type=int, default=None,
+                        help="Gauss-Hermite quadrature order (None: env "
+                             f"{quadrature._ORDER_ENV_VAR}, else {quadrature.DEFAULT_ORDER})")
     parser.add_argument("--fit-floor", type=float, default=analysis.DEFAULT_FLOOR,
                         help="residual fit window lower bound")
     parser.add_argument("--fit-ceiling", type=float, default=analysis.DEFAULT_CEILING,
@@ -111,8 +110,6 @@ def _add_common(parser: argparse.ArgumentParser, *, simulate: bool = False) -> N
         parser.add_argument("--depth", type=int, default=0,
                             help="trajectory length for residual fits "
                                  "(0 = choose from the theoretical scales)")
-        parser.add_argument("--seed", type=int, default=0, help="unused; accepted "
-                            "for interface uniformity")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .activations import Activation
 from .errors import (
@@ -41,6 +40,11 @@ CRITICALITY_TOL = 1e-12
 #: Displacement tolerance and iteration cap for fixed-point solvers.
 FIXED_POINT_TOL = 1e-12
 MAX_ITERATIONS = 100_000
+
+#: Evaluation cap of the bracketed root finder, and its relative
+#: tolerance floor (4 ulp) on top of each caller's absolute xtol.
+_ROOT_MAX_ITERATIONS = 100
+_ROOT_RTOL = 8.9e-16
 
 #: q* iterates below this with sigma_b^2 == 0 collapse to the exact
 #: degenerate fixed point q* = 0.
@@ -78,7 +82,6 @@ class FixedPoint:
     c_star: float
     iterations_q: int
     iterations_c: int
-    converged: bool
     degenerate: bool = False
 
 
@@ -182,6 +185,67 @@ def solve_q_star(hp: HyperParams, act: Activation, q0: float = DEFAULT_Q0,
     )
 
 
+def _bracketed_root(f, a: float, b: float, f_a: float, f_b: float,
+                    xtol: float) -> tuple[float, int]:
+    """Root of ``f`` between a and b by Brent's method (Brent 1973, ch. 4).
+
+    ``f_a`` and ``f_b`` are the caller's values at the ends and must have
+    opposite signs (or one of them be 0). ``f`` is evaluated, and a root
+    returned, only strictly inside (a, b) unless an end value is exactly
+    0, so an end may carry a limit of ``f`` rather than a value of it.
+    Inverse quadratic and secant steps converge superlinearly; a
+    bisection safeguard bounds the worst case. Returns (root, number of
+    evaluations); the root is within xtol + 8.9e-16 |root| of a sign
+    change of ``f``.
+    """
+    if f_a == 0.0:
+        return a, 0
+    if f_b == 0.0:
+        return b, 0
+    # x_cur is the best estimate, x_blk the other end of the current
+    # bracket, x_pre the previous estimate; s_cur and s_pre are the last
+    # two steps.
+    x_pre, x_cur, f_pre, f_cur = a, b, f_a, f_b
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for iteration in range(_ROOT_MAX_ITERATIONS):
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (xtol + _ROOT_RTOL * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            if x_cur in (a, b):
+                # An end value may be a stand-in; the root lies within
+                # the final bracket, so answer from its interior.
+                x_cur += s_bis
+            return x_cur, iteration
+        s_try = None
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+        if s_try is not None and 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise ConvergenceError(
+        f"bracketed root finder did not converge within "
+        f"{_ROOT_MAX_ITERATIONS} evaluations on [{a}, {b}]",
+        last_iterate=x_cur,
+        iterations=_ROOT_MAX_ITERATIONS,
+    )
+
+
 def _q_star_robust(hp: HyperParams, act: Activation,
                    quad: QuadratureRule | None = None) -> float:
     """Fixed point of the variance map by root bracketing.
@@ -201,10 +265,12 @@ def _q_star_robust(hp: HyperParams, act: Activation,
         if slope0 <= 1.0:
             return 0.0
         lo = 1e-300
-        if displacement(lo) <= 0:
-            return 0.0
-        return float(brentq(displacement, lo, hi, xtol=1e-15, rtol=8.9e-16))
-    return float(brentq(displacement, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
+    else:
+        lo = 0.0
+    f_lo = displacement(lo)
+    if f_lo <= 0:
+        return 0.0
+    return _bracketed_root(displacement, lo, hi, f_lo, displacement(hi), 1e-15)[0]
 
 
 def chi1(hp: HyperParams, act: Activation, q_star: float,
@@ -291,17 +357,20 @@ def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
         slope_at_one = correlation_slope(hp, act, q_star, 1.0, quad)
         if slope_at_one <= 1.0 + CRITICALITY_TOL:
             return 1.0, 0
-        # Chaotic: the stable root sits strictly below 1. Treat c = 1 as
-        # the (exclusive) upper end of the bracket; just below it the
-        # displacement is negative by the slope argument, which avoids
-        # evaluating the map where rounding noise dominates.
+        # Chaotic: the stable root sits strictly below 1. Dividing out the
+        # root at c = 1 keeps the sign below 1 and gives the limit
+        # 1 - slope_at_one < 0 at c = 1, so the bracket's upper end stays
+        # open and the map is never evaluated where rounding noise
+        # dominates.
+        bracketed = lambda c: displacement(c) / (1.0 - c)
         grid = np.linspace(0.0, 1.0, 41)[:-1]
-        upper_is_virtual = True
+        open_end = 1.0 - slope_at_one
     else:
+        bracketed = displacement
         grid = np.linspace(0.0, 1.0, 41)
-        upper_is_virtual = False
+        open_end = None
 
-    values = [displacement(c) for c in grid]
+    values = [bracketed(c) for c in grid]
     positive = [i for i, v in enumerate(values) if v > 0]
     if not positive:
         # No interior sign change: fall back to a boundary fixed point.
@@ -312,26 +381,17 @@ def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
             "no sign change found when bracketing the correlation fixed point",
             last_iterate=None,
         )
-    lo = grid[positive[-1]]
-    if positive[-1] + 1 < len(grid):
-        hi = grid[positive[-1] + 1]
-    elif upper_is_virtual:
-        hi = 1.0
+    i = positive[-1]
+    if i + 1 < len(grid):
+        hi, f_hi = grid[i + 1], values[i + 1]
+    elif open_end is not None:
+        hi, f_hi = 1.0, open_end
     else:
         # Positive all the way to c = 1 without dropout means ordered.
         return 1.0, 0
 
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if displacement(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if iterations > 200:
-            break
-    c_star = 0.5 * (lo + hi)
+    c_star, iterations = _bracketed_root(bracketed, float(grid[i]), float(hi),
+                                         values[i], f_hi, tol)
     slope = correlation_slope(hp, act, q_star, c_star, quad)
     if abs(slope) >= 1.0 + 1e-6:
         raise ConvergenceError(
@@ -366,10 +426,10 @@ def fixed_point(hp: HyperParams, act: Activation, q0: float = DEFAULT_Q0,
         q_star, iterations_q = solve_q_star(hp, act, q0, quad)
     if hp.sigma_b_sq == 0.0 and q_star < _DEGENERATE_Q:
         return FixedPoint(q_star=0.0, c_star=1.0, iterations_q=iterations_q,
-                          iterations_c=0, converged=True, degenerate=True)
+                          iterations_c=0, degenerate=True)
     c_star, iterations_c = _solve_c_star_detail(hp, act, q_star, quad)
     return FixedPoint(q_star=q_star, c_star=c_star, iterations_q=iterations_q,
-                      iterations_c=iterations_c, converged=True)
+                      iterations_c=iterations_c)
 
 
 def depth_scales(hp: HyperParams, act: Activation,
@@ -421,13 +481,7 @@ def critical_sigma_w(sigma_b_sq: float, act: Activation,
             f"no critical point: chi1 - 1 does not change sign on "
             f"[{lo}, {hi}] (endpoints {f_lo}, {f_hi})"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bracketed_root(excess, lo, hi, f_lo, f_hi, tol)[0]
 
 
 def phase_of(chi1_value: float, tol: float = 1e-9) -> str:

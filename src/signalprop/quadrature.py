@@ -24,8 +24,10 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError, NumericError
 
-#: Default number of nodes. tanh-type integrands are smooth, so 61 nodes
-#: give <= 1e-12 error for every bounded activation shipped here.
+#: Default number of nodes. Against mpmath (perfbench/workloads.py), 61
+#: nodes miss E[tanh^2] by 2e-13 at q = 0.45 but by 6e-8 at q = 1.3, and
+#: miss hard_tanh expectations by up to 1e-3 because of its kinks. Exact
+#: expectations are ROADMAP item 4.
 DEFAULT_ORDER = 61
 
 _ORDER_ENV_VAR = "SIGNALPROP_QUAD_ORDER"
@@ -82,16 +84,23 @@ class CorrelatedPair:
             raise DomainError(f"correlation must lie in [-1, 1], got {self.c}")
 
 
-@lru_cache(maxsize=None)
 def rule(order: int | None = None) -> QuadratureRule:
     """Return the (cached) Gauss-Hermite rule of the given order.
+
+    ``None`` selects :func:`default_order`, which reads the environment
+    on every call rather than once per process.
+    """
+    return _rule(default_order() if order is None else order)
+
+
+@lru_cache(maxsize=None)
+def _rule(order: int) -> QuadratureRule:
+    """Gauss-Hermite rule of ``order`` for the standard Gaussian measure.
 
     The physicists' rule integrates exp(-x^2) g(x); substituting
     z = sqrt(2) x and dividing the weights by sqrt(pi) turns it into the
     standard Gaussian measure.
     """
-    if order is None:
-        order = default_order()
     if order < 1:
         raise DomainError(f"quadrature order must be positive, got {order}")
     x, w = hermgauss(order)

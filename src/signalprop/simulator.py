@@ -241,8 +241,7 @@ def _forward_single(cfg: NetworkConfig, act: Activation, net: int,
             return zs, fs[:-1], l
         zs.append(z)
         y = act.phi(z)
-        if l + 1 <= depth:
-            fs.append(_dropout_input(cfg, y, net, l + 1, mask_role))
+        fs.append(_dropout_input(cfg, y, net, l + 1, mask_role))
     return zs, fs, depth
 
 

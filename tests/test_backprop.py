@@ -39,16 +39,6 @@ class TestGradVariance:
         expected = 2.0 * chi ** (len(widths) - 1 - np.arange(len(widths)))
         np.testing.assert_allclose(traj, expected, rtol=1e-12)
 
-    def test_conventions_agree_for_constant_widths(self):
-        hp = mf.HyperParams(2.5, 0.05)
-        q_star, _ = mf.solve_q_star(hp, TANH)
-        widths = [128] * 6
-        a = backprop.grad_variance_trajectory(hp, TANH, q_star, widths,
-                                              convention="derivation")
-        b = backprop.grad_variance_trajectory(hp, TANH, q_star, widths,
-                                              convention="adjacent")
-        np.testing.assert_allclose(a, b, rtol=1e-14)
-
     def test_varying_widths_hand_computed(self):
         hp = mf.HyperParams(0.5, 0.1)
         q_star, _ = mf.solve_q_star(hp, LINEAR)
@@ -60,15 +50,6 @@ class TestGradVariance:
         assert math.isclose(traj[1], 1.0 * (400 / 400) * 0.5, rel_tol=1e-14)
         assert math.isclose(traj[0], traj[1] * (200 / 400) * 0.5, rel_tol=1e-14)
 
-    def test_adjacent_convention_ratio(self):
-        hp = mf.HyperParams(0.5, 0.1)
-        q_star, _ = mf.solve_q_star(hp, LINEAR)
-        widths = [100, 200, 400]
-        traj = backprop.grad_variance_trajectory(hp, LINEAR, q_star, widths,
-                                                 convention="adjacent")
-        assert math.isclose(traj[1], 1.0 * (400 / 200) * 0.5, rel_tol=1e-14)
-        assert math.isclose(traj[0], traj[1] * (200 / 100) * 0.5, rel_tol=1e-14)
-
     @pytest.mark.parametrize("widths,seed", [([], 1.0), ([10, -5], 1.0),
                                              ([10, 10], 0.0)])
     def test_validation(self, widths, seed):
@@ -76,12 +57,6 @@ class TestGradVariance:
         with pytest.raises(DomainError):
             backprop.grad_variance_trajectory(hp, LINEAR, 0.2, widths,
                                               q_tilde_L=seed)
-
-    def test_unknown_convention(self):
-        hp = mf.HyperParams(0.5, 0.1)
-        with pytest.raises(DomainError):
-            backprop.grad_variance_trajectory(hp, LINEAR, 0.2, [10, 10],
-                                              convention="bogus")
 
 
 class TestGradCovariance:

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +36,16 @@ class TestParsing:
 
     def test_rho_list(self):
         assert cli._parse_rho_list("0.9,1.0") == [0.9, 1.0]
+
+    @pytest.mark.parametrize("value", ["abc", "1"])
+    def test_bad_quad_order_env_exits_with_message(self, value, monkeypatch,
+                                                    capsys):
+        monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", value)
+        status = cli.main(["critical-line", "--sigma-b-sq", "0.05"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: SIGNALPROP_QUAD_ORDER")
 
     def test_bad_flag_exits_with_message(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -190,3 +203,12 @@ class TestOutput:
         assert cli._csv_cell(math.nan) == "nan"
         assert float(cli._csv_cell(1 / 3)) == 1 / 3
         assert cli._csv_cell(None) == ""
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import signalprop.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from signalprop.activations import builtin
 from signalprop.errors import (
     ConfigurationError,
+    ConvergenceError,
     DegenerateVarianceError,
     DomainError,
     NoFixedPointError,
@@ -139,6 +140,53 @@ class TestFixedPoints:
         hp = mf.HyperParams(1.5, 0.05)
         with pytest.raises(NoFixedPointError):
             mf.solve_q_star(hp, LINEAR)
+
+
+class TestBracketedRoot:
+    @pytest.mark.parametrize("xtol", [1e-15, 1e-12, 1e-9])
+    @pytest.mark.parametrize("f,a,b,root", [
+        (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
+        (lambda x: math.exp(x) - 3.0, -1.0, 4.0, math.log(3.0)),
+        (lambda x: 0.25 - x ** 3, 0.0, 1.0, 0.25 ** (1.0 / 3.0)),
+    ])
+    def test_closed_form_roots(self, f, a, b, root, xtol):
+        x, evaluations = mf._bracketed_root(f, a, b, f(a), f(b), xtol)
+        assert abs(x - root) <= xtol + 8.9e-16 * root
+        # Superlinear: bisection would need log2((b - a) / xtol) >= 30.
+        assert evaluations <= 15
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(mf, "_ROOT_MAX_ITERATIONS", 3)
+        f = lambda x: x * x - 2.0
+        with pytest.raises(ConvergenceError) as excinfo:
+            mf._bracketed_root(f, 0.0, 2.0, f(0.0), f(2.0), 1e-15)
+        assert excinfo.value.iterations == 3
+        assert 0.0 < excinfo.value.last_iterate < 2.0
+
+    def test_open_end_neither_evaluated_nor_returned(self):
+        # The root lies within xtol of the end b = 1, whose value is a
+        # limit supplied by the caller.
+        root = 1.0 - 1e-13
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return root - x
+
+        x, _ = mf._bracketed_root(f, 0.0, 1.0, root, root - 1.0, 1e-12)
+        assert all(c < 1.0 for c in calls)
+        assert x < 1.0
+        assert abs(x - root) <= 1e-12
+
+    def test_chaotic_c_star_next_to_the_open_end(self):
+        # README phase-diagram row: c = 1 is itself a root of the
+        # displacement, and c* lies just below it.
+        sw2 = float(np.linspace(0.5, 3.0, 26)[18])
+        sb2 = float(np.linspace(0.01, 0.3, 4)[2])
+        hp = mf.HyperParams(sw2, sb2)
+        fp = mf.fixed_point(hp, TANH)
+        assert math.isclose(fp.c_star, 0.99640807979777, abs_tol=1e-12)
+        assert mf.phase_of(mf.chi1(hp, TANH, fp.q_star)) == "chaotic"
 
 
 class TestDepthScales:
