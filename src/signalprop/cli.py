@@ -178,69 +178,77 @@ def emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) -
 # ---------------------------------------------------------------------------
 # subcommands
 
+_POINT_COLUMNS = ["sigma_w_sq", "sigma_b_sq", "rho"]
+
+
 def _grid(args):
     for sw2 in args.sigma_w_sq:
         for sb2 in args.sigma_b_sq:
             for rho in args.rho:
-                yield sw2, sb2, rho
+                yield {"sigma_w_sq": sw2, "sigma_b_sq": sb2, "rho": rho}
 
 
-def _point_columns():
-    return ["sigma_w_sq", "sigma_b_sq", "rho"]
+def _hyper_params(base: dict) -> meanfield.HyperParams:
+    return meanfield.HyperParams(base["sigma_w_sq"], base["sigma_b_sq"], base["rho"])
+
+
+def _sweep(points, columns: list[str]) -> tuple[list[dict], list[str], int]:
+    """Rows, columns and exit status of a sweep.
+
+    ``points`` yields (base row, compute) pairs; ``compute(base)`` returns
+    a list of value dicts, each emitted as one row after the base columns.
+    A point whose compute raises a SignalPropError becomes a single row
+    with an ``error`` cell, and the error column appears only then.
+    """
+    rows, status = [], EXIT_OK
+    for base, compute in points:
+        try:
+            rows.extend(dict(base, **values) for values in compute(base))
+        except SignalPropError as exc:
+            rows.append(dict(base, error=str(exc)))
+            status = EXIT_PARTIAL
+    if status != EXIT_OK:
+        columns = columns + ["error"]
+    return rows, columns, status
 
 
 def cmd_phase_diagram(args) -> tuple[list[dict], list[str], int]:
     act = builtin(args.activation)
     quad = quadrature.rule(args.quad_order)
-    rows, status = [], EXIT_OK
-    for sw2, sb2, rho in _grid(args):
-        row = {"sigma_w_sq": sw2, "sigma_b_sq": sb2, "rho": rho}
-        try:
-            hp = meanfield.HyperParams(sw2, sb2, rho)
-            fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
-            chi = meanfield.chi1(hp, act, fp.q_star, quad)
-            row.update(q_star=fp.q_star, c_star=fp.c_star, chi1=chi,
-                       phase=meanfield.phase_of(chi) if rho == 1.0 else
-                       ("ordered" if chi < 1.0 else "chaotic"))
-        except SignalPropError as exc:
-            row["error"] = str(exc)
-            status = EXIT_PARTIAL
-        rows.append(row)
+
+    def grid_point(base):
+        hp = _hyper_params(base)
+        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        chi = meanfield.chi1(hp, act, fp.q_star, quad)
+        return [dict(q_star=fp.q_star, c_star=fp.c_star, chi1=chi,
+                     phase=meanfield.phase_of(chi) if hp.rho == 1.0 else
+                     ("ordered" if chi < 1.0 else "chaotic"))]
+
+    def critical_point(base):
+        sb2 = base["sigma_b_sq"]
+        crit = meanfield.critical_sigma_w(sb2, act, quad)
+        hp = meanfield.HyperParams(crit, sb2, 1.0)
+        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        return [dict(sigma_w_sq=crit, q_star=fp.q_star, c_star=fp.c_star,
+                     chi1=meanfield.chi1(hp, act, fp.q_star, quad))]
+
+    points = [(base, grid_point) for base in _grid(args)]
     if all(rho == 1.0 for rho in args.rho):
-        for sb2 in args.sigma_b_sq:
-            row = {"sigma_b_sq": sb2, "rho": 1.0, "phase": "critical"}
-            try:
-                crit = meanfield.critical_sigma_w(sb2, act, quad)
-                hp = meanfield.HyperParams(crit, sb2, 1.0)
-                fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
-                row.update(sigma_w_sq=crit, q_star=fp.q_star, c_star=fp.c_star,
-                           chi1=meanfield.chi1(hp, act, fp.q_star, quad))
-            except SignalPropError as exc:
-                row["error"] = str(exc)
-                status = EXIT_PARTIAL
-            rows.append(row)
-    columns = _point_columns() + ["q_star", "c_star", "chi1", "phase"]
-    if status != EXIT_OK:
-        columns.append("error")
-    return rows, columns, status
+        points += [({"sigma_b_sq": sb2, "rho": 1.0, "phase": "critical"}, critical_point)
+                   for sb2 in args.sigma_b_sq]
+    return _sweep(points, _POINT_COLUMNS + ["q_star", "c_star", "chi1", "phase"])
 
 
 def cmd_critical_line(args) -> tuple[list[dict], list[str], int]:
     act = builtin(args.activation)
     quad = quadrature.rule(args.quad_order)
-    rows, status = [], EXIT_OK
-    for sb2 in args.sigma_b_sq:
-        row = {"sigma_b_sq": sb2}
-        try:
-            row["sigma_w_sq_critical"] = meanfield.critical_sigma_w(sb2, act, quad)
-        except SignalPropError as exc:
-            row["error"] = str(exc)
-            status = EXIT_PARTIAL
-        rows.append(row)
-    columns = ["sigma_b_sq", "sigma_w_sq_critical"]
-    if status != EXIT_OK:
-        columns.append("error")
-    return rows, columns, status
+
+    def point(base):
+        return [{"sigma_w_sq_critical":
+                 meanfield.critical_sigma_w(base["sigma_b_sq"], act, quad)}]
+
+    return _sweep((({"sigma_b_sq": sb2}, point) for sb2 in args.sigma_b_sq),
+                  ["sigma_b_sq", "sigma_w_sq_critical"])
 
 
 def _auto_depth(scales: meanfield.DepthScales) -> int:
@@ -270,50 +278,36 @@ def measured_depth_scales(hp, act, quad, depth: int, q0: float, c0: float,
 def cmd_depth_scales(args) -> tuple[list[dict], list[str], int]:
     act = builtin(args.activation)
     quad = quadrature.rule(args.quad_order)
-    rows, status = [], EXIT_OK
-    for sw2, sb2, rho in _grid(args):
-        row = {"sigma_w_sq": sw2, "sigma_b_sq": sb2, "rho": rho}
-        try:
-            hp = meanfield.HyperParams(sw2, sb2, rho)
-            fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
-            scales = meanfield.depth_scales(hp, act, quad, fp=fp)
-            depth = args.depth if args.depth > 0 else _auto_depth(scales)
-            xi_q_meas, xi_c_meas = measured_depth_scales(
-                hp, act, quad, depth, args.q0, args.c0,
-                args.fit_floor, args.fit_ceiling)
-            row.update(xi_q_theory=scales.xi_q, xi_q_measured=xi_q_meas,
-                       xi_c_theory=scales.xi_c, xi_c_measured=xi_c_meas,
-                       xi_grad=scales.xi_grad)
-        except SignalPropError as exc:
-            row["error"] = str(exc)
-            status = EXIT_PARTIAL
-        rows.append(row)
-    columns = _point_columns() + ["xi_q_theory", "xi_q_measured",
-                                  "xi_c_theory", "xi_c_measured", "xi_grad"]
-    if status != EXIT_OK:
-        columns.append("error")
-    return rows, columns, status
+
+    def point(base):
+        hp = _hyper_params(base)
+        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        scales = meanfield.depth_scales(hp, act, quad, fp=fp)
+        depth = args.depth if args.depth > 0 else _auto_depth(scales)
+        xi_q_meas, xi_c_meas = measured_depth_scales(
+            hp, act, quad, depth, args.q0, args.c0,
+            args.fit_floor, args.fit_ceiling)
+        return [dict(xi_q_theory=scales.xi_q, xi_q_measured=xi_q_meas,
+                     xi_c_theory=scales.xi_c, xi_c_measured=xi_c_meas,
+                     xi_grad=scales.xi_grad)]
+
+    return _sweep(((base, point) for base in _grid(args)),
+                  _POINT_COLUMNS + ["xi_q_theory", "xi_q_measured",
+                                    "xi_c_theory", "xi_c_measured", "xi_grad"])
 
 
 def cmd_trainable_depth(args) -> tuple[list[dict], list[str], int]:
     act = builtin(args.activation)
     quad = quadrature.rule(args.quad_order)
-    rows, status = [], EXIT_OK
-    for sw2, sb2, rho in _grid(args):
-        row = {"sigma_w_sq": sw2, "sigma_b_sq": sb2, "rho": rho}
-        try:
-            hp = meanfield.HyperParams(sw2, sb2, rho)
-            fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
-            xi_c = meanfield.xi_c(hp, act, fp.q_star, fp.c_star, quad)
-            row.update(xi_c=xi_c, max_trainable_depth=6.0 * xi_c)
-        except SignalPropError as exc:
-            row["error"] = str(exc)
-            status = EXIT_PARTIAL
-        rows.append(row)
-    columns = _point_columns() + ["xi_c", "max_trainable_depth"]
-    if status != EXIT_OK:
-        columns.append("error")
-    return rows, columns, status
+
+    def point(base):
+        hp = _hyper_params(base)
+        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        xi_c = meanfield.xi_c(hp, act, fp.q_star, fp.c_star, quad)
+        return [dict(xi_c=xi_c, max_trainable_depth=6.0 * xi_c)]
+
+    return _sweep(((base, point) for base in _grid(args)),
+                  _POINT_COLUMNS + ["xi_c", "max_trainable_depth"])
 
 
 def _simulate_inputs(args, cfg):
@@ -325,70 +319,62 @@ def _simulate_inputs(args, cfg):
     return simulator.prepare_inputs(cfg, args.q0, args.q0, args.c0)
 
 
+_SIMULATE_COLUMNS = {
+    "forward": ["layer", "q_aa_hat", "q_aa_stderr", "c_ab_hat", "c_ab_stderr",
+                "q_aa_theory", "c_ab_theory"],
+    "gradients": ["layer", "log_grad_norm_sq", "log_grad_norm_stderr",
+                  "theory_slope"],
+    "grad-covariance": ["layer", "grad_dot", "grad_dot_stderr", "theory_factor"],
+}
+
+
 def cmd_simulate(args) -> tuple[list[dict], list[str], int]:
     act = builtin(args.activation)
     quad = quadrature.rule(args.quad_order)
-    rows, status = [], EXIT_OK
-    extra: list[str] = []
-    for sw2, sb2, rho in _grid(args):
-        base = {"sigma_w_sq": sw2, "sigma_b_sq": sb2, "rho": rho}
-        try:
-            hp = meanfield.HyperParams(sw2, sb2, rho)
-            cfg = simulator.NetworkConfig(
-                depth=args.depth, width=args.width, hp=hp,
-                activation=args.activation, seed=args.seed,
-                backprop_weights=args.backprop_weights)
-            x_a, x_b = _simulate_inputs(args, cfg)
-            if args.mode == "forward":
-                extra = ["layer", "q_aa_hat", "q_aa_stderr", "c_ab_hat",
-                         "c_ab_stderr", "q_aa_theory", "c_ab_theory"]
-                emp = simulator.forward_pair(cfg, x_a, x_b, args.networks)
-                traj = meanfield.iterate_trajectory(
-                    hp, act, q0_a=args.q0, q0_b=args.q0, c0=args.c0,
-                    layers=args.depth, quad=quad)
-                for l in range(len(emp.q_aa_hat)):
-                    rows.append(dict(base, layer=l,
-                                     q_aa_hat=float(emp.q_aa_hat[l]),
-                                     q_aa_stderr=float(emp.q_aa_stderr[l]),
-                                     c_ab_hat=float(emp.c_ab_hat[l]),
-                                     c_ab_stderr=float(emp.c_ab_stderr[l]),
-                                     q_aa_theory=float(traj.q_aa[l]),
-                                     c_ab_theory=float(traj.c_ab[l])))
-            elif args.mode == "gradients":
-                extra = ["layer", "log_grad_norm_sq", "log_grad_norm_stderr",
-                         "theory_slope"]
-                target = np.zeros(args.classes)
-                target[0] = 1.0
-                norms = simulator.backward_gradients(cfg, x_a, target, args.networks)
-                fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
-                chi = meanfield.chi1(hp, act, fp.q_star, quad)
-                slope = -math.log(chi)
-                for l in range(len(norms.mean_log_norm_sq)):
-                    rows.append(dict(base, layer=l,
-                                     log_grad_norm_sq=float(norms.mean_log_norm_sq[l]),
-                                     log_grad_norm_stderr=float(norms.stderr_log_norm_sq[l]),
-                                     theory_slope=slope))
-            else:
-                extra = ["layer", "grad_dot", "grad_dot_stderr", "theory_factor"]
-                target = np.zeros(args.classes)
-                target[0] = 1.0
-                cov = simulator.backward_covariance(cfg, x_a, x_b,
-                                                    (target, target), args.networks)
-                fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
-                factor = backprop.grad_covariance_factor(
-                    hp, act, fp.q_star, fp.c_star, quad)
-                for l in range(len(cov.mean_dot)):
-                    rows.append(dict(base, layer=l,
-                                     grad_dot=float(cov.mean_dot[l]),
-                                     grad_dot_stderr=float(cov.stderr_dot[l]),
-                                     theory_factor=factor))
-        except SignalPropError as exc:
-            rows.append(dict(base, error=str(exc)))
-            status = EXIT_PARTIAL
-    columns = _point_columns() + extra
-    if status != EXIT_OK:
-        columns.append("error")
-    return rows, columns, status
+
+    def point(base):
+        hp = _hyper_params(base)
+        cfg = simulator.NetworkConfig(
+            depth=args.depth, width=args.width, hp=hp,
+            activation=args.activation, seed=args.seed,
+            backprop_weights=args.backprop_weights)
+        x_a, x_b = _simulate_inputs(args, cfg)
+        if args.mode == "forward":
+            emp = simulator.forward_pair(cfg, x_a, x_b, args.networks)
+            traj = meanfield.iterate_trajectory(
+                hp, act, q0_a=args.q0, q0_b=args.q0, c0=args.c0,
+                layers=args.depth, quad=quad)
+            return [dict(layer=l,
+                         q_aa_hat=float(emp.q_aa_hat[l]),
+                         q_aa_stderr=float(emp.q_aa_stderr[l]),
+                         c_ab_hat=float(emp.c_ab_hat[l]),
+                         c_ab_stderr=float(emp.c_ab_stderr[l]),
+                         q_aa_theory=float(traj.q_aa[l]),
+                         c_ab_theory=float(traj.c_ab[l]))
+                    for l in range(len(emp.q_aa_hat))]
+        target = np.zeros(args.classes)
+        target[0] = 1.0
+        if args.mode == "gradients":
+            norms = simulator.backward_gradients(cfg, x_a, target, args.networks)
+            fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+            slope = -math.log(meanfield.chi1(hp, act, fp.q_star, quad))
+            return [dict(layer=l,
+                         log_grad_norm_sq=float(norms.mean_log_norm_sq[l]),
+                         log_grad_norm_stderr=float(norms.stderr_log_norm_sq[l]),
+                         theory_slope=slope)
+                    for l in range(len(norms.mean_log_norm_sq))]
+        cov = simulator.backward_covariance(cfg, x_a, x_b, (target, target),
+                                            args.networks)
+        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        factor = backprop.grad_covariance_factor(hp, act, fp.q_star, fp.c_star, quad)
+        return [dict(layer=l,
+                     grad_dot=float(cov.mean_dot[l]),
+                     grad_dot_stderr=float(cov.stderr_dot[l]),
+                     theory_factor=factor)
+                for l in range(len(cov.mean_dot))]
+
+    return _sweep(((base, point) for base in _grid(args)),
+                  _POINT_COLUMNS + _SIMULATE_COLUMNS[args.mode])
 
 
 _COMMANDS = {

@@ -363,16 +363,16 @@ def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
         # open and the map is never evaluated where rounding noise
         # dominates.
         bracketed = lambda c: displacement(c) / (1.0 - c)
-        grid = np.linspace(0.0, 1.0, 41)[:-1]
-        open_end = 1.0 - slope_at_one
+        f_hi = 1.0 - slope_at_one
     else:
         bracketed = displacement
-        grid = np.linspace(0.0, 1.0, 41)
-        open_end = None
+        f_hi = displacement(1.0)
 
-    values = [bracketed(c) for c in grid]
-    positive = [i for i, v in enumerate(values) if v > 0]
-    if not positive:
+    # With q_a = q_b the map is increasing and convex on [0, 1] (its
+    # Mehler coefficients are squares), so F(c) - c changes sign at most
+    # once there and the whole interval is the bracket.
+    f_lo = displacement(0.0)
+    if f_lo <= 0:
         # No interior sign change: fall back to a boundary fixed point.
         for boundary in (0.0, 1.0):
             if abs(displacement(boundary)) <= 1e-10:
@@ -381,17 +381,11 @@ def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
             "no sign change found when bracketing the correlation fixed point",
             last_iterate=None,
         )
-    i = positive[-1]
-    if i + 1 < len(grid):
-        hi, f_hi = grid[i + 1], values[i + 1]
-    elif open_end is not None:
-        hi, f_hi = 1.0, open_end
-    else:
-        # Positive all the way to c = 1 without dropout means ordered.
+    if f_hi > 0:
+        # Positive all the way to c = 1 (only rounding allows it with dropout).
         return 1.0, 0
 
-    c_star, iterations = _bracketed_root(bracketed, float(grid[i]), float(hi),
-                                         values[i], f_hi, tol)
+    c_star, iterations = _bracketed_root(bracketed, 0.0, 1.0, f_lo, f_hi, tol)
     slope = correlation_slope(hp, act, q_star, c_star, quad)
     if abs(slope) >= 1.0 + 1e-6:
         raise ConvergenceError(

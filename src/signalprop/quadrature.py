@@ -30,6 +30,10 @@ from .errors import DomainError, NumericError
 #: expectations are ROADMAP item 4.
 DEFAULT_ORDER = 61
 
+#: Smallest accepted order. One node evaluates every expectation at z = 0
+#: alone, where the correlation map is flat and chi1 is sigma_w^2 phi'(0)^2.
+MIN_ORDER = 2
+
 _ORDER_ENV_VAR = "SIGNALPROP_QUAD_ORDER"
 
 
@@ -39,12 +43,9 @@ def default_order() -> int:
     if raw is None:
         return DEFAULT_ORDER
     try:
-        order = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise DomainError(f"{_ORDER_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if order < 2:
-        raise DomainError(f"{_ORDER_ENV_VAR} must be >= 2, got {order}")
-    return order
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,6 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.order < 1:
-            raise DomainError(f"quadrature order must be positive, got {self.order}")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -88,9 +87,16 @@ def rule(order: int | None = None) -> QuadratureRule:
     """Return the (cached) Gauss-Hermite rule of the given order.
 
     ``None`` selects :func:`default_order`, which reads the environment
-    on every call rather than once per process.
+    on every call rather than once per process. Orders below
+    ``MIN_ORDER`` are rejected, whether they come from the caller or from
+    the environment.
     """
-    return _rule(default_order() if order is None else order)
+    source = "quadrature order"
+    if order is None:
+        order, source = default_order(), _ORDER_ENV_VAR
+    if order < MIN_ORDER:
+        raise DomainError(f"{source} must be >= {MIN_ORDER}, got {order}")
+    return _rule(order)
 
 
 @lru_cache(maxsize=None)
@@ -101,8 +107,6 @@ def _rule(order: int) -> QuadratureRule:
     z = sqrt(2) x and dividing the weights by sqrt(pi) turns it into the
     standard Gaussian measure.
     """
-    if order < 1:
-        raise DomainError(f"quadrature order must be positive, got {order}")
     x, w = hermgauss(order)
     return QuadratureRule(
         order=order,

@@ -2,15 +2,22 @@
 
 Instantiates actual random networks (weights N(0, sigma_w^2/N), biases
 N(0, sigma_b^2), optional per-input Bernoulli dropout masks), propagates
-single inputs and correlated pairs forward, and backpropagates a
-cross-entropy loss through a softmax readout, producing empirical
-layer-by-layer statistics to compare against the mean-field theory.
+inputs forward, and backpropagates a cross-entropy loss through a softmax
+readout, producing empirical layer-by-layer statistics to compare against
+the mean-field theory.
+
+One kernel serves every entry point: k inputs (one for gradient norms, a
+pair for moments and gradient covariances) share each sampled network,
+each input with its own dropout masks. Per layer it returns the k x k Gram
+matrix of the pre-activations and, given targets, of the weight gradients.
+Each layer's weights are drawn once for the forward pass and once more for
+the backward pass, whatever k is.
 
 Randomness comes from a counter-based generator (Philox) with a dedicated
 substream per (network, layer, role), so results are bit-reproducible and
 realizations can be evaluated independently in any order. In particular
 weight matrices are re-drawn from their substream during the backward
-pass instead of being stored, keeping memory at O(L * N).
+pass instead of being stored, keeping memory at O(L * N * k).
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ _ROLE_MASK_B = 3
 _ROLE_BACKWARD = 4
 _ROLE_INPUT = 5
 _ROLE_READOUT = 6
+_MASK_ROLES = (_ROLE_MASK_A, _ROLE_MASK_B)
 
 BACKPROP_MODES = ("tied", "independent")
 
@@ -83,10 +91,7 @@ class GradientNorms:
     truncated_at: int | None = None
 
     def __post_init__(self):
-        self.mean_log_norm_sq = self.log_norm_sq.mean(axis=0)
-        n = self.log_norm_sq.shape[0]
-        ddof = 1 if n > 1 else 0
-        self.stderr_log_norm_sq = self.log_norm_sq.std(axis=0, ddof=ddof) / math.sqrt(n)
+        self.mean_log_norm_sq, self.stderr_log_norm_sq = _mean_stderr(self.log_norm_sq)
 
 
 @dataclass
@@ -99,10 +104,14 @@ class GradientCovariance:
     truncated_at: int | None = None
 
     def __post_init__(self):
-        self.mean_dot = self.dot.mean(axis=0)
-        n = self.dot.shape[0]
-        ddof = 1 if n > 1 else 0
-        self.stderr_dot = self.dot.std(axis=0, ddof=ddof) / math.sqrt(n)
+        self.mean_dot, self.stderr_dot = _mean_stderr(self.dot)
+
+
+def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over networks (axis 0) and its standard error."""
+    n = samples.shape[0]
+    ddof = 1 if n > 1 else 0
+    return samples.mean(axis=0), samples.std(axis=0, ddof=ddof) / math.sqrt(n)
 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
@@ -123,17 +132,30 @@ def _biases(cfg: NetworkConfig, network: int, layer: int, size=None) -> np.ndarr
     scale = math.sqrt(cfg.hp.sigma_b_sq)
     return rng.normal(0.0, scale, size=cfg.width if size is None else size)
 
-def _mask(cfg: NetworkConfig, network: int, layer: int, role: int) -> np.ndarray:
-    rng = _substream(cfg.seed, network, layer, role)
-    return (rng.random(cfg.width) < cfg.hp.rho).astype(float)
+def _masks(cfg: NetworkConfig, network: int, layer: int, k: int) -> np.ndarray:
+    """Dropout keep-masks of the first k inputs at one layer, k x N."""
+    return np.stack([
+        _substream(cfg.seed, network, layer, role).random(cfg.width) < cfg.hp.rho
+        for role in _MASK_ROLES[:k]
+    ]).astype(float)
 
 
-def _dropout_input(cfg: NetworkConfig, y: np.ndarray, network: int, layer: int,
-                   role: int) -> np.ndarray:
-    """The effective input to a weight layer: (mask * y) / rho."""
-    if cfg.hp.rho == 1.0:
-        return y
-    return _mask(cfg, network, layer, role) * y / cfg.hp.rho
+def _matvecs(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``w @ row`` for each row of ``rows``.
+
+    One matrix-vector product per input keeps each input's arithmetic
+    bit-identical to a run with that input alone, whatever k is.
+    """
+    return np.stack([w @ row for row in rows])
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """Dot products of every pair of rows, k x k.
+
+    Each entry is numpy's pairwise sum of the products, so it does not
+    depend on k the way a blocked BLAS product (``rows @ rows.T``) does.
+    """
+    return (rows[:, None, :] * rows[None, :, :]).sum(axis=2)
 
 
 def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
@@ -175,6 +197,77 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
     return x_a, x_b
 
 
+def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
+               targets: np.ndarray | None = None):
+    """Run the k rows of ``inputs`` (k x N) through sampled networks.
+
+    Row i uses the dropout masks of role ``_MASK_ROLES[i]``; all rows share
+    each layer's weights and biases. Returns ``(gram, grad)``, both
+    (n_networks, depth, k, k): ``gram[net, l]`` is the Gram matrix of the
+    layer-l pre-activations divided by N. A network stops at the first
+    layer whose Gram matrix is not finite and leaves NaN from there on.
+
+    With ``targets`` (k x n_classes), each network that reaches the top
+    feeds a softmax readout; ``grad[net, l]`` then holds the dot products
+    (delta_i . delta_j)(f_i . f_j) of the weight gradients of the
+    cross-entropy losses, since the gradient with respect to W^l
+    factorizes as delta^l outer f^l. In ``independent`` mode every
+    backward matrix is a fresh i.i.d. draw with the forward statistics; in
+    ``tied`` mode the forward matrices are re-drawn from their substreams
+    (bit-identical to the forward pass). Without targets ``grad`` is None.
+    """
+    if n_networks < 1:
+        raise DomainError(f"n_networks must be >= 1, got {n_networks}")
+    act = cfg.resolve_activation()
+    depth, rho, k = cfg.depth, cfg.hp.rho, len(inputs)
+    tied = cfg.backprop_weights == "tied"
+    gram = np.full((n_networks, depth, k, k), np.nan)
+    grad = None if targets is None else np.full_like(gram, np.nan)
+
+    for net in range(n_networks):
+        # fs[l] is the effective input to weight layer l: (mask * y) / rho.
+        fs = [inputs if rho == 1.0 else _masks(cfg, net, 0, k) * inputs / rho]
+        zs = []
+        for l in range(depth):
+            z = _matvecs(_weights(cfg, net, l), fs[l]) + _biases(cfg, net, l)
+            moments = _gram(z) / cfg.width
+            if not np.all(np.isfinite(moments)):
+                break
+            gram[net, l] = moments
+            zs.append(z)
+            y = act.phi(z)
+            fs.append(y if rho == 1.0 else _masks(cfg, net, l + 1, k) * y / rho)
+        if targets is None or len(zs) < depth:
+            continue
+
+        w_up = _weights(cfg, net, depth, _ROLE_READOUT,
+                        shape=(targets.shape[1], cfg.width))
+        logits = _matvecs(w_up, fs[depth]) + _biases(cfg, net, depth, size=targets.shape[1])
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        delta = p - targets
+        if not tied:
+            w_up = _weights(cfg, net, depth, _ROLE_BACKWARD, shape=w_up.shape)
+        for l in range(depth - 1, -1, -1):
+            grad_y = _matvecs(w_up.T, delta)
+            if rho < 1.0:
+                grad_y *= _masks(cfg, net, l + 1, k) / rho
+            delta = act.d_phi(zs[l]) * grad_y
+            grad[net, l] = _gram(delta) * _gram(fs[l])
+            if l > 0:
+                w_up = _weights(cfg, net, l, _ROLE_WEIGHTS if tied else _ROLE_BACKWARD)
+    return gram, grad
+
+
+def _truncation(valid: np.ndarray) -> int | None:
+    """First layer at which some network's value is not valid, else None.
+
+    ``valid`` is (n_networks, depth); results keep the layers before it.
+    """
+    every = valid.all(axis=0)
+    return None if every.all() else int(np.argmin(every))
+
+
 def forward_pair(cfg: NetworkConfig, x_a: np.ndarray, x_b: np.ndarray,
                  n_networks: int) -> EmpiricalTrajectory:
     """Propagate a pair of inputs through sampled realizations.
@@ -183,106 +276,22 @@ def forward_pair(cfg: NetworkConfig, x_a: np.ndarray, x_b: np.ndarray,
     the result holds the moments of the l-th pre-activation, aligned with
     index l of the theoretical trajectory started at the inputs' moments.
     """
-    if n_networks < 1:
-        raise DomainError(f"n_networks must be >= 1, got {n_networks}")
     if len(x_a) != cfg.width or len(x_b) != cfg.width:
         raise DomainError("input vectors must have length equal to the width")
-    act = cfg.resolve_activation()
-    depth = cfg.depth
-    q_a = np.full((n_networks, depth), np.nan)
-    q_b = np.full((n_networks, depth), np.nan)
-    q_ab = np.full((n_networks, depth), np.nan)
-    finite_up_to = depth
-
-    for net in range(n_networks):
-        y_a, y_b = x_a, x_b
-        for l in range(depth):
-            w = _weights(cfg, net, l)
-            b = _biases(cfg, net, l)
-            z_a = w @ _dropout_input(cfg, y_a, net, l, _ROLE_MASK_A) + b
-            z_b = w @ _dropout_input(cfg, y_b, net, l, _ROLE_MASK_B) + b
-            qa = float(np.mean(z_a * z_a))
-            qb = float(np.mean(z_b * z_b))
-            if not (math.isfinite(qa) and math.isfinite(qb)):
-                finite_up_to = min(finite_up_to, l)
-                break
-            q_a[net, l] = qa
-            q_b[net, l] = qb
-            q_ab[net, l] = float(np.mean(z_a * z_b))
-            y_a, y_b = act.phi(z_a), act.phi(z_b)
-
-    depth_kept = finite_up_to
-    q_a, q_b, q_ab = q_a[:, :depth_kept], q_b[:, :depth_kept], q_ab[:, :depth_kept]
-    c = q_ab / np.sqrt(q_a * q_b)
-    sqrt_n = math.sqrt(n_networks)
-    ddof = 1 if n_networks > 1 else 0
+    gram, _ = _propagate(cfg, np.stack([x_a, x_b]), n_networks)
+    cut = _truncation(np.isfinite(gram).all(axis=(2, 3)))
+    q_a, q_b, q_ab = (gram[:, :cut, i, j] for i, j in ((0, 0), (1, 1), (0, 1)))
+    q_aa_hat, q_aa_stderr = _mean_stderr(q_a)
+    c_ab_hat, c_ab_stderr = _mean_stderr(q_ab / np.sqrt(q_a * q_b))
     return EmpiricalTrajectory(
-        q_aa_hat=q_a.mean(axis=0),
-        q_aa_stderr=q_a.std(axis=0, ddof=ddof) / sqrt_n,
+        q_aa_hat=q_aa_hat,
+        q_aa_stderr=q_aa_stderr,
         q_bb_hat=q_b.mean(axis=0),
-        c_ab_hat=c.mean(axis=0),
-        c_ab_stderr=c.std(axis=0, ddof=ddof) / sqrt_n,
+        c_ab_hat=c_ab_hat,
+        c_ab_stderr=c_ab_stderr,
         n_networks=n_networks,
-        truncated_at=None if depth_kept == cfg.depth else depth_kept,
+        truncated_at=cut,
     )
-
-
-def _forward_single(cfg: NetworkConfig, act: Activation, net: int,
-                    x: np.ndarray, mask_role: int):
-    """Forward pass storing pre-activations and effective layer inputs."""
-    depth = cfg.depth
-    zs = []
-    fs = [_dropout_input(cfg, x, net, 0, mask_role)]
-    y = x
-    for l in range(depth):
-        f = fs[-1]
-        z = _weights(cfg, net, l) @ f + _biases(cfg, net, l)
-        if not np.all(np.isfinite(z)):
-            return zs, fs[:-1], l
-        zs.append(z)
-        y = act.phi(z)
-        fs.append(_dropout_input(cfg, y, net, l + 1, mask_role))
-    return zs, fs, depth
-
-
-def _readout(cfg: NetworkConfig, net: int, f_top: np.ndarray,
-             n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    w_out = _weights(cfg, net, cfg.depth, _ROLE_READOUT,
-                     shape=(n_classes, cfg.width))
-    b_out = _biases(cfg, net, cfg.depth, size=n_classes)
-    logits = w_out @ f_top + b_out
-    shifted = logits - logits.max()
-    p = np.exp(shifted)
-    p /= p.sum()
-    return p, w_out
-
-
-def _backprop_deltas(cfg: NetworkConfig, act: Activation, net: int,
-                     zs: list, delta_top: np.ndarray, w_out: np.ndarray,
-                     mask_role: int) -> list:
-    """Per-layer errors delta^l = dE/dz^l, from the readout downwards.
-
-    In ``independent`` mode every backward matrix is a fresh i.i.d. draw
-    with the forward statistics; in ``tied`` mode the forward matrices
-    are re-drawn from their substreams (bit-identical to the forward pass).
-    """
-    tied = cfg.backprop_weights == "tied"
-    depth = len(zs)
-    deltas = [None] * depth
-    upstream = delta_top
-    if tied:
-        w_up = w_out
-    else:
-        w_up = _weights(cfg, net, depth, _ROLE_BACKWARD, shape=w_out.shape)
-    for l in range(depth - 1, -1, -1):
-        grad_y = w_up.T @ upstream
-        if cfg.hp.rho < 1.0:
-            grad_y *= _mask(cfg, net, l + 1, mask_role) / cfg.hp.rho
-        deltas[l] = act.d_phi(zs[l]) * grad_y
-        upstream = deltas[l]
-        if l > 0:
-            w_up = _weights(cfg, net, l) if tied else _weights(cfg, net, l, _ROLE_BACKWARD)
-    return deltas
 
 
 def backward_gradients(cfg: NetworkConfig, input_vec: np.ndarray,
@@ -294,33 +303,10 @@ def backward_gradients(cfg: NetworkConfig, input_vec: np.ndarray,
     W^l factorizes as delta^l outer f^l, so its squared norm is
     ||delta^l||^2 ||f^l||^2 without forming the outer product.
     """
-    if n_networks < 1:
-        raise DomainError(f"n_networks must be >= 1, got {n_networks}")
-    act = cfg.resolve_activation()
-    depth = cfg.depth
-    log_norms = np.full((n_networks, depth), np.nan)
-    finite_up_to = depth
-
-    for net in range(n_networks):
-        zs, fs, reached = _forward_single(cfg, act, net, input_vec, _ROLE_MASK_A)
-        if reached < depth:
-            finite_up_to = min(finite_up_to, reached)
-            continue
-        p, w_out = _readout(cfg, net, fs[depth], len(target))
-        deltas = _backprop_deltas(cfg, act, net, zs, p - target, w_out,
-                                  _ROLE_MASK_A)
-        for l in range(depth):
-            norm_sq = float(np.dot(deltas[l], deltas[l])) * float(np.dot(fs[l], fs[l]))
-            if norm_sq <= 0 or not math.isfinite(norm_sq):
-                finite_up_to = min(finite_up_to, l)
-                break
-            log_norms[net, l] = math.log(norm_sq)
-
-    kept = finite_up_to
-    return GradientNorms(
-        log_norm_sq=log_norms[:, :kept] if kept < depth else log_norms,
-        truncated_at=None if kept == depth else kept,
-    )
+    _, grad = _propagate(cfg, np.stack([input_vec]), n_networks, np.stack([target]))
+    norm_sq = grad[:, :, 0, 0]
+    cut = _truncation(np.isfinite(norm_sq) & (norm_sq > 0))
+    return GradientNorms(log_norm_sq=np.log(norm_sq[:, :cut]), truncated_at=cut)
 
 
 def backward_covariance(cfg: NetworkConfig, x_a: np.ndarray, x_b: np.ndarray,
@@ -333,40 +319,12 @@ def backward_covariance(cfg: NetworkConfig, x_a: np.ndarray, x_b: np.ndarray,
     configured mode. The gradient dot factorizes as
     (delta_a . delta_b)(f_a . f_b).
     """
-    if n_networks < 1:
-        raise DomainError(f"n_networks must be >= 1, got {n_networks}")
-    act = cfg.resolve_activation()
-    depth = cfg.depth
-    target_a, target_b = targets
-    if len(target_a) != len(target_b):
+    if len(targets[0]) != len(targets[1]):
         raise DomainError("both targets must have the same number of classes")
-    dots = np.full((n_networks, depth), np.nan)
-    finite_up_to = depth
-
-    for net in range(n_networks):
-        zs_a, fs_a, reached_a = _forward_single(cfg, act, net, x_a, _ROLE_MASK_A)
-        zs_b, fs_b, reached_b = _forward_single(cfg, act, net, x_b, _ROLE_MASK_B)
-        if min(reached_a, reached_b) < depth:
-            finite_up_to = min(finite_up_to, reached_a, reached_b)
-            continue
-        p_a, w_out = _readout(cfg, net, fs_a[depth], len(target_a))
-        p_b, _ = _readout(cfg, net, fs_b[depth], len(target_b))
-        deltas_a = _backprop_deltas(cfg, act, net, zs_a, p_a - target_a,
-                                    w_out, _ROLE_MASK_A)
-        deltas_b = _backprop_deltas(cfg, act, net, zs_b, p_b - target_b,
-                                    w_out, _ROLE_MASK_B)
-        for l in range(depth):
-            value = float(np.dot(deltas_a[l], deltas_b[l])) * float(np.dot(fs_a[l], fs_b[l]))
-            if not math.isfinite(value):
-                finite_up_to = min(finite_up_to, l)
-                break
-            dots[net, l] = value
-
-    kept = finite_up_to
-    return GradientCovariance(
-        dot=dots[:, :kept] if kept < depth else dots,
-        truncated_at=None if kept == depth else kept,
-    )
+    _, grad = _propagate(cfg, np.stack([x_a, x_b]), n_networks, np.stack(targets))
+    dot = grad[:, :, 0, 1]
+    cut = _truncation(np.isfinite(dot))
+    return GradientCovariance(dot=dot[:, :cut], truncated_at=cut)
 
 
 def load_input_vectors(path, width: int) -> np.ndarray:

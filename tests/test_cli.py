@@ -47,6 +47,15 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err.startswith("error: SIGNALPROP_QUAD_ORDER")
 
+    @pytest.mark.parametrize("order", ["1", "0"])
+    def test_bad_quad_order_flag_exits_with_message(self, order, capsys):
+        status = cli.main(["phase-diagram", "--sigma-w-sq", "1.7",
+                           "--sigma-b-sq", "0.05", "--quad-order", order])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"error: quadrature order must be >= 2, got {order}\n"
+
     def test_bad_flag_exits_with_message(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["phase-diagram", "--sigma-w-sq", "1:2"])

@@ -189,6 +189,41 @@ class TestBracketedRoot:
         assert mf.phase_of(mf.chi1(hp, TANH, fp.q_star)) == "chaotic"
 
 
+class TestCorrelationSolverCost:
+    """c* is bracketed on the whole of [0, 1], not located by a scan."""
+
+    @pytest.fixture
+    def map_calls(self, monkeypatch):
+        calls = []
+        original = mf.correlation_map
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mf, "correlation_map", counted)
+        return calls
+
+    @pytest.mark.parametrize("sw2,sb2,rho", [
+        (1.6, 0.005, 1.0),    # chaotic
+        (1.3, 0.05, 0.95),    # dropout
+    ])
+    def test_at_most_twelve_map_calls(self, map_calls, sw2, sb2, rho):
+        fp = mf.fixed_point(mf.HyperParams(sw2, sb2, rho), TANH)
+        assert 0 < fp.c_star < 1
+        # The 41-point scan alone made 40-41 calls here.
+        assert len(map_calls) <= 12
+
+    def test_dropout_grid_cost(self, map_calls):
+        worst = 0
+        for rho in (0.9, 0.99):
+            for sw2 in np.linspace(1.0, 3.0, 5):
+                del map_calls[:]
+                mf.fixed_point(mf.HyperParams(sw2, 0.05, rho), TANH)
+                worst = max(worst, len(map_calls))
+        assert worst <= 15
+
+
 class TestDepthScales:
     def test_ordered_xi_c_matches_xi_grad(self):
         # At c* = 1 the correlation slope equals chi1.

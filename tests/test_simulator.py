@@ -1,5 +1,6 @@
 """Finite-width Monte Carlo simulator: reproducibility, moments, gradients."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -143,6 +144,68 @@ class TestGradients:
         # Identical inputs: the covariance is exactly the squared norm.
         np.testing.assert_allclose(np.log(cov.dot), norms.log_norm_sq,
                                    rtol=1e-12)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
+    def test_covariance_draws_each_matrix_once_per_pass(self, monkeypatch, mode):
+        draws = Counter()
+        original = sim._weights
+
+        def counted(cfg, network, layer, role=sim._ROLE_WEIGHTS, shape=None):
+            draws[network, layer, role] += 1
+            return original(cfg, network, layer, role, shape)
+
+        monkeypatch.setattr(sim, "_weights", counted)
+        cfg = make_config(depth=6, width=40, backprop_weights=mode)
+        x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
+        target = np.eye(10)[0]
+        sim.backward_covariance(cfg, x_a, x_b, (target, target), 3)
+        # Layer 0 needs no backward matrix; the readout is drawn once.
+        backward = sim._ROLE_WEIGHTS if mode == "tied" else sim._ROLE_BACKWARD
+        expected = Counter()
+        for net in range(3):
+            expected[net, cfg.depth, sim._ROLE_READOUT] += 1
+            if mode == "independent":
+                expected[net, cfg.depth, sim._ROLE_BACKWARD] += 1
+            for layer in range(cfg.depth):
+                expected[net, layer, sim._ROLE_WEIGHTS] += 1
+                if layer > 0:
+                    expected[net, layer, backward] += 1
+        assert draws == expected
+        assert sum(draws.values()) == 3 * 2 * cfg.depth + (3 if mode == "independent" else 0)
+
+    @pytest.mark.parametrize("rho", [1.0, 0.9])
+    @pytest.mark.parametrize("sw2,depth,expected", [
+        # (forward_pair, backward_gradients, backward_covariance)
+        (1e60, 8, (6, 0, 0)),     # Gram overflow at layer 6: no loss
+        (1e100, 8, (4, 0, 0)),    # pre-activations reach inf at layer 7
+        (1e12, 40, (26, 0, 0)),
+    ])
+    def test_overflow_truncation(self, sw2, depth, expected, rho):
+        hp = mf.HyperParams(sw2, 0.1, rho)
+        cfg = make_config(hp=hp, activation="linear", depth=depth, width=50, seed=1)
+        x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
+        target = np.eye(10)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            emp = sim.forward_pair(cfg, x_a, x_b, 3)
+            norms = sim.backward_gradients(cfg, x_a, target, 3)
+            cov = sim.backward_covariance(cfg, x_a, x_b, (target, target), 3)
+        assert (emp.truncated_at, norms.truncated_at, cov.truncated_at) == expected
+        assert len(emp.q_aa_hat) == expected[0]
+        assert norms.log_norm_sq.shape == (3, 0) and cov.dot.shape == (3, 0)
+        assert np.all(np.isfinite(emp.q_aa_hat)) and np.all(np.isfinite(emp.c_ab_hat))
+
+    def test_each_input_of_a_pair_runs_as_if_alone(self):
+        # Sharing a network changes no bit of either input's arithmetic.
+        cfg = make_config(hp=mf.HyperParams(2.5, 0.05, 0.9), depth=12, width=60)
+        x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
+        target = np.eye(10)[0]
+        pair = sim._propagate(cfg, np.stack([x_a, x_b]), 2, np.stack([target, target]))
+        alone = sim._propagate(cfg, np.stack([x_a]), 2, np.stack([target]))
+        for both, single in zip(pair, alone):
+            assert np.all(np.isfinite(single))
+            np.testing.assert_array_equal(both[:, :, :1, :1], single)
 
 
 class TestInputFile:
