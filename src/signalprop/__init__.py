@@ -25,7 +25,7 @@ from .meanfield import (
     xi_c,
     xi_q,
 )
-from .quadrature import CorrelatedPair, QuadratureRule, gauss_expect_1d, gauss_expect_2d, rule
+from .quadrature import QuadratureRule, gauss_expect_1d, rule
 from .simulator import (
     EmpiricalTrajectory,
     NetworkConfig,
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation",
-    "CorrelatedPair",
     "DepthScales",
     "EmpiricalTrajectory",
     "ExpFit",
@@ -60,7 +59,6 @@ __all__ = [
     "fixed_point",
     "forward_pair",
     "gauss_expect_1d",
-    "gauss_expect_2d",
     "grad_covariance_factor",
     "grad_covariance_trajectory",
     "grad_variance_trajectory",

@@ -7,6 +7,12 @@ of a pair of inputs:
     variance map      q  ->  (sigma_w^2 / rho) E[phi(sqrt(q) z)^2] + sigma_b^2
     covariance map    q_ab -> sigma_w^2 E[phi(u1) phi(u2)] + sigma_b^2
 
+where u1, u2 have variances q_a, q_b and correlation c. By Mehler's
+formula E[phi(u1) phi(u2)] = sum_n a_n(q_a) a_n(q_b) c^n with the Hermite
+coefficients a_n(q) = E[phi(sqrt(q) z) h_n(z)], one 1D pass of phi per
+variance. At q_a = q_b the terms a_n^2 are nonnegative, so the correlation
+map is increasing and convex on [0, 1] and c* is its unique stable root.
+
 With dropout keep-probability rho < 1 the variance map carries the
 effective weight variance sigma_w^2 / rho, while the covariance map keeps
 the bare sigma_w^2 (the two independent masks contribute E[p_a] E[p_b] =
@@ -32,7 +38,7 @@ from .errors import (
     DomainError,
     NoFixedPointError,
 )
-from .quadrature import CorrelatedPair, QuadratureRule, gauss_expect_1d, gauss_expect_2d
+from .quadrature import QuadratureRule, gauss_expect_1d, hermite_coefficients
 
 #: |factor - 1| below this counts as criticality (depth scale +inf).
 CRITICALITY_TOL = 1e-12
@@ -137,12 +143,33 @@ def variance_map(q: float, hp: HyperParams, act: Activation,
     return hp.effective_sigma_w_sq * second_moment + hp.sigma_b_sq
 
 
+def _mehler_coefficients(q: float, act: Activation,
+                         quad: QuadratureRule | None) -> np.ndarray:
+    """a_n(q) = E[phi(sqrt(q) z) h_n(z)], the Hermite coefficients of phi at q."""
+    sq = math.sqrt(q)
+    return hermite_coefficients(lambda z: act.phi(sq * z), quad)
+
+
+def _power_series(coefficients: np.ndarray, c: float) -> float:
+    """sum_n coefficients[n] c^n."""
+    return float(coefficients @ c ** np.arange(len(coefficients)))
+
+
 def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
                    act: Activation, quad: QuadratureRule | None = None) -> float:
-    """One step of the pair-covariance recursion (unnormalized)."""
-    pair = CorrelatedPair(q_a=q_a, q_b=q_b, c=c)
-    moment = gauss_expect_2d(lambda u1, u2: act.phi(u1) * act.phi(u2), pair, quad)
-    return hp.sigma_w_sq * moment + hp.sigma_b_sq
+    """One step of the pair-covariance recursion (unnormalized).
+
+    The Mehler series sigma_w^2 sum_n a_n(q_a) a_n(q_b) c^n + sigma_b^2 up
+    to the quadrature order; at c = 1, q_a = q_b it reproduces the variance
+    map's second moment to rounding (discrete Parseval).
+    """
+    if q_a < 0 or q_b < 0:
+        raise DomainError(f"variances must be nonnegative, got q_a={q_a}, q_b={q_b}")
+    if abs(c) > 1:
+        raise DomainError(f"correlation must lie in [-1, 1], got {c}")
+    a = _mehler_coefficients(q_a, act, quad)
+    b = a if q_b == q_a else _mehler_coefficients(q_b, act, quad)
+    return hp.sigma_w_sq * _power_series(a * b, c) + hp.sigma_b_sq
 
 
 def correlation_map(c: float, q_a: float, q_b: float, hp: HyperParams,
@@ -167,8 +194,9 @@ def solve_q_star(hp: HyperParams, act: Activation, q0: float = DEFAULT_Q0,
     """Iterate the variance map to its fixed point.
 
     Returns (q*, iteration count). Plain iteration is adequate here: the
-    variance map converges at a rate bounded away from 1 whenever
-    sigma_b^2 > 0, even on the critical line.
+    variance map converges at a rate bounded away from 1 unless
+    sigma_b^2 is tiny and sigma_w^2 phi'(0)^2 near 1, where ``fixed_point``
+    falls back to bracketing the root.
     """
     _check_activation(act, hp)
     q = float(q0)
@@ -320,23 +348,25 @@ def correlation_slope(hp: HyperParams, act: Activation, q_star: float,
                       c_star: float, quad: QuadratureRule | None = None) -> float:
     """Linearization of the correlation map about its fixed point.
 
+    The derivative of the Mehler series, (sigma_w^2 / q*) sum_n n a_n^2
+    c^(n-1); by Price's theorem this is sigma_w^2 E[phi'(u1) phi'(u2)].
     Carries the bare sigma_w^2 even with dropout. For the degenerate
     q* = 0 point the integrand is constant and the slope reduces to
     sigma_w^2 phi'(0)^2.
     """
     if q_star == 0.0:
         return hp.sigma_w_sq * float(act.d_phi(np.float64(0.0))) ** 2
-    pair = CorrelatedPair(q_a=q_star, q_b=q_star, c=c_star)
-    moment = gauss_expect_2d(lambda u1, u2: act.d_phi(u1) * act.d_phi(u2), pair, quad)
-    return hp.sigma_w_sq * moment
+    a_sq = _mehler_coefficients(q_star, act, quad) ** 2
+    n = np.arange(1, len(a_sq))
+    return hp.sigma_w_sq / q_star * _power_series(n * a_sq[1:], c_star)
 
 
 def xi_c(hp: HyperParams, act: Activation, q_star: float, c_star: float,
          quad: QuadratureRule | None = None) -> float:
     """Depth scale of pair-correlation convergence.
 
-    At c* = 1 the slope integral collapses to the chi1 integral, so the
-    general formula agrees with -1/log(chi1) in the ordered phase.
+    At c* = 1 the slope series is a discrete form of the chi1 integral, so
+    the result agrees with -1/log(chi1) in the ordered phase.
     """
     if not 0 <= c_star <= 1:
         raise DomainError(f"c_star must lie in [0, 1], got {c_star}")
@@ -349,12 +379,17 @@ def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
     if q_star <= 0:
         raise DomainError(f"c* requires q_star > 0, got {q_star}")
 
-    displacement = lambda c: correlation_map(c, q_star, q_star, hp, act, quad) - c
+    # F(c) = sum_n weights[n] c^n + sigma_b^2 / q* with weights >= 0, so
+    # F(0) >= 0 and F(c) - c is convex: when F(1) < 1 or F'(1) > 1 it has
+    # one root in [0, 1), where F' < 1, and [0, 1] always brackets it.
+    weights = hp.sigma_w_sq / q_star * _mehler_coefficients(q_star, act, quad) ** 2
+    bias = hp.sigma_b_sq / q_star
+    displacement = lambda c: _power_series(weights, c) + bias - c
 
     if hp.rho == 1.0:
         # c = 1 is an exact fixed point without dropout; it is the stable
         # one iff the map's slope there does not exceed 1.
-        slope_at_one = correlation_slope(hp, act, q_star, 1.0, quad)
+        slope_at_one = float(np.arange(len(weights)) @ weights)
         if slope_at_one <= 1.0 + CRITICALITY_TOL:
             return 1.0, 0
         # Chaotic: the stable root sits strictly below 1. Dividing out the
@@ -367,34 +402,10 @@ def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
     else:
         bracketed = displacement
         f_hi = displacement(1.0)
-
-    # With q_a = q_b the map is increasing and convex on [0, 1] (its
-    # Mehler coefficients are squares), so F(c) - c changes sign at most
-    # once there and the whole interval is the bracket.
-    f_lo = displacement(0.0)
-    if f_lo <= 0:
-        # No interior sign change: fall back to a boundary fixed point.
-        for boundary in (0.0, 1.0):
-            if abs(displacement(boundary)) <= 1e-10:
-                return boundary, 0
-        raise ConvergenceError(
-            "no sign change found when bracketing the correlation fixed point",
-            last_iterate=None,
-        )
-    if f_hi > 0:
-        # Positive all the way to c = 1 (only rounding allows it with dropout).
-        return 1.0, 0
-
-    c_star, iterations = _bracketed_root(bracketed, 0.0, 1.0, f_lo, f_hi, tol)
-    slope = correlation_slope(hp, act, q_star, c_star, quad)
-    if abs(slope) >= 1.0 + 1e-6:
-        raise ConvergenceError(
-            f"bracketed correlation fixed point c={c_star} is unstable "
-            f"(|slope|={abs(slope)}); possible multi-root map",
-            last_iterate=c_star,
-            iterations=iterations,
-        )
-    return c_star, iterations
+        if f_hi > 0:
+            # Positive all the way to c = 1 (only rounding allows it with dropout).
+            return 1.0, 0
+    return _bracketed_root(bracketed, 0.0, 1.0, displacement(0.0), f_hi, tol)
 
 
 def solve_c_star(hp: HyperParams, act: Activation, q_star: float,
@@ -417,7 +428,11 @@ def fixed_point(hp: HyperParams, act: Activation, q0: float = DEFAULT_Q0,
         # map's slope tends to 1 at the origin); bracket the root instead.
         q_star, iterations_q = _q_star_robust(hp, act, quad), 0
     else:
-        q_star, iterations_q = solve_q_star(hp, act, q0, quad)
+        try:
+            q_star, iterations_q = solve_q_star(hp, act, q0, quad)
+        except ConvergenceError as exc:
+            # The same crawl with a tiny sigma_b^2 next to the critical line.
+            q_star, iterations_q = _q_star_robust(hp, act, quad), exc.iterations
     if hp.sigma_b_sq == 0.0 and q_star < _DEGENERATE_Q:
         return FixedPoint(q_star=0.0, c_star=1.0, iterations_q=iterations_q,
                           iterations_c=0, degenerate=True)

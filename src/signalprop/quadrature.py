@@ -1,16 +1,15 @@
 """Gaussian expectations via Gauss-Hermite quadrature.
 
-Every integral in this package is an expectation of a smooth function of
-either one standard Gaussian variable or two correlated Gaussian variables,
+Every integral in this package is over one standard Gaussian z ~ N(0, 1):
+E[f(z)], or the coefficients a_n = E[f(z) h_n(z)] of f in the normalised
+Hermite polynomials h_n = He_n / sqrt(n!), which give any expectation over
+a correlated pair by Mehler's formula
 
-    E[f(z)]        with z ~ N(0, 1),
-    E[f(u1, u2)]   with u1 = sqrt(q_a) z1,
-                        u2 = sqrt(q_b) (c z1 + sqrt(1 - c^2) z2),
+    E[f(z1) g(c z1 + sqrt(1 - c^2) z2)] = sum_n a_n(f) a_n(g) c^n.
 
-so a single fixed-order Gauss-Hermite rule (after the change of variables
-to the standard Gaussian measure) evaluates all of them. Rules are
-precomputed once per order and cached; sweeps evaluate millions of these
-integrals.
+One fixed-order Gauss-Hermite rule, changed to the standard Gaussian
+measure, evaluates both with one pass of f over its nodes. Rules and their
+Hermite matrices are cached per order; sweeps evaluate millions of these.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError, NumericError
 
-#: Default number of nodes. Against mpmath (perfbench/workloads.py), 61
+#: Default number of nodes and of Hermite coefficients. Against mpmath, 61
 #: nodes miss E[tanh^2] by 2e-13 at q = 0.45 but by 6e-8 at q = 1.3, and
 #: miss hard_tanh expectations by up to 1e-3 because of its kinks. Exact
 #: expectations are ROADMAP item 4.
@@ -66,23 +65,6 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class CorrelatedPair:
-    """Second moments of a pair of jointly Gaussian pre-activations."""
-
-    q_a: float
-    q_b: float
-    c: float
-
-    def __post_init__(self):
-        if self.q_a < 0 or self.q_b < 0:
-            raise DomainError(
-                f"variances must be nonnegative, got q_a={self.q_a}, q_b={self.q_b}"
-            )
-        if abs(self.c) > 1:
-            raise DomainError(f"correlation must lie in [-1, 1], got {self.c}")
-
-
 def rule(order: int | None = None) -> QuadratureRule:
     """Return the (cached) Gauss-Hermite rule of the given order.
 
@@ -116,14 +98,31 @@ def _rule(order: int) -> QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def _grid(order: int):
-    """Tensor-product nodes and weights for 2D expectations."""
-    r = rule(order)
-    z1 = r.nodes[:, None]
-    z2 = r.nodes[None, :]
-    w = np.outer(r.weights, r.weights)
-    w.setflags(write=False)
-    return z1, z2, w
+def _hermite_matrix(order: int) -> np.ndarray:
+    """``w_i h_n(z_i)`` for n < order over the nodes z_i and weights w_i.
+
+    The recurrence h_{n+1} = (z h_n - sqrt(n) h_{n-1}) / sqrt(n + 1) runs
+    on sqrt(w_i) h_n(z_i), an orthogonal matrix, so nothing overflows.
+    """
+    r = _rule(order)
+    root_w = np.sqrt(r.weights)
+    rows = np.empty((order, order))
+    rows[0] = root_w
+    rows[1] = r.nodes * root_w
+    for n in range(1, order - 1):
+        rows[n + 1] = (r.nodes * rows[n] - math.sqrt(n) * rows[n - 1]) / math.sqrt(n + 1)
+    rows *= root_w
+    rows.setflags(write=False)
+    return rows
+
+
+def _values(f, quad: QuadratureRule) -> np.ndarray:
+    """``f`` at the nodes of ``quad``, which must all be finite."""
+    values = np.asarray(f(quad.nodes), dtype=float)
+    if not np.all(np.isfinite(values)):
+        bad = quad.nodes[~np.isfinite(values)][0]
+        raise NumericError(f"integrand is non-finite at node z={bad!r}")
+    return values
 
 
 def gauss_expect_1d(f, quad: QuadratureRule | None = None) -> float:
@@ -133,32 +132,15 @@ def gauss_expect_1d(f, quad: QuadratureRule | None = None) -> float:
     """
     if quad is None:
         quad = rule()
-    values = np.asarray(f(quad.nodes), dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = quad.nodes[~np.isfinite(values)][0]
-        raise NumericError(f"integrand is non-finite at node z={bad!r}")
-    return float(quad.weights @ values)
+    return float(quad.weights @ _values(f, quad))
 
 
-def gauss_expect_2d(f, pair: CorrelatedPair, quad: QuadratureRule | None = None) -> float:
-    """E[f(u1, u2)] for the correlated Gaussian pair described by ``pair``.
+def hermite_coefficients(f, quad: QuadratureRule | None = None) -> np.ndarray:
+    """a_n = E[f(z) h_n(z)] for n < order, from one pass of ``f``.
 
-    At c exactly +-1 the orthogonal component is exactly zero, so the
-    perfectly-correlated case is representable without rounding into
-    sqrt of a negative number.
+    On an M-node rule h_0 ... h_{M-1} are discretely orthonormal, so
+    sum(a**2) equals ``gauss_expect_1d(f**2)`` to rounding (Parseval).
     """
     if quad is None:
         quad = rule()
-    z1, z2, w = _grid(quad.order)
-    c = pair.c
-    s = 0.0 if abs(c) == 1.0 else math.sqrt(1.0 - c * c)
-    u1 = math.sqrt(pair.q_a) * z1
-    u2 = math.sqrt(pair.q_b) * (c * z1 + s * z2)
-    values = np.asarray(f(u1, u2), dtype=float)
-    values = np.broadcast_to(values, w.shape)
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise NumericError(
-            f"integrand is non-finite at node (z1={z1[i, 0]!r}, z2={z2[0, j]!r})"
-        )
-    return float(np.sum(w * values))
+    return _hermite_matrix(quad.order) @ _values(f, quad)

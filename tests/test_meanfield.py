@@ -6,6 +6,7 @@ displacement, cross-checked against 1e8-sample Monte Carlo estimates of
 the underlying Gaussian integrals (the Monte Carlo comparisons live in
 test_quadrature).
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from signalprop.quadrature import rule
 
 TANH = builtin("tanh")
 LINEAR = builtin("linear")
+HARD_TANH = builtin("hard_tanh")
 
 # Order-201 oracles at (sigma_w_sq=1.7, sigma_b_sq=0.05), tanh.
 ORACLE_VMAP_Q08 = 0.6519480159299463      # variance_map(0.8)
@@ -130,6 +132,14 @@ class TestFixedPoints:
         assert fp.c_star == 1.0
         assert fp.degenerate
 
+    def test_tiny_bias_on_the_critical_line(self):
+        # The variance map's slope at q* tends to 1 here, so plain
+        # iteration runs out; q* = sqrt(sigma_b^2 / 2) to leading order
+        # since E[tanh^2(sqrt(q) z)] = q - 2 q^2 + O(q^3).
+        fp = mf.fixed_point(mf.HyperParams(1.0, 1e-14), TANH)
+        assert math.isclose(fp.q_star, math.sqrt(0.5e-14), rel_tol=1e-6)
+        assert fp.c_star == 1.0
+
     def test_dropout_removes_perfect_correlation(self):
         fp_full = mf.fixed_point(mf.HyperParams(1.7, 0.05, rho=1.0), TANH)
         fp_drop = mf.fixed_point(mf.HyperParams(1.7, 0.05, rho=0.9), TANH)
@@ -185,43 +195,62 @@ class TestBracketedRoot:
         sb2 = float(np.linspace(0.01, 0.3, 4)[2])
         hp = mf.HyperParams(sw2, sb2)
         fp = mf.fixed_point(hp, TANH)
-        assert math.isclose(fp.c_star, 0.99640807979777, abs_tol=1e-12)
+        assert math.isclose(fp.c_star, 0.9964031803037632, abs_tol=1e-12)
         assert mf.phase_of(mf.chi1(hp, TANH, fp.q_star)) == "chaotic"
+        # Independent oracle (perfbench/oracle.py): 0.9964008131.
+        fine = mf.fixed_point(hp, TANH, quad=rule(201))
+        assert math.isclose(fine.c_star, 0.9964008131, abs_tol=1e-9)
 
 
 class TestCorrelationSolverCost:
-    """c* is bracketed on the whole of [0, 1], not located by a scan."""
+    """c* is a root of a power series whose coefficients cost one pass of
+    the activation over the quadrature nodes; Brent's steps cost none."""
 
-    @pytest.fixture
-    def map_calls(self, monkeypatch):
-        calls = []
-        original = mf.correlation_map
+    @staticmethod
+    def solve(hp):
+        """(c*, Brent evaluations, activation passes) of one c* solve."""
+        q_star = mf.fixed_point(hp, TANH).q_star
+        passes = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counted(fn):
+            def wrapper(x):
+                passes.append(np.size(x))
+                return fn(x)
+            return wrapper
 
-        monkeypatch.setattr(mf, "correlation_map", counted)
-        return calls
+        act = dataclasses.replace(TANH, phi=counted(TANH.phi), d_phi=counted(TANH.d_phi))
+        c_star, evaluations = mf._solve_c_star_detail(hp, act, q_star)
+        return c_star, evaluations, len(passes)
 
     @pytest.mark.parametrize("sw2,sb2,rho", [
         (1.6, 0.005, 1.0),    # chaotic
         (1.3, 0.05, 0.95),    # dropout
     ])
-    def test_at_most_twelve_map_calls(self, map_calls, sw2, sb2, rho):
-        fp = mf.fixed_point(mf.HyperParams(sw2, sb2, rho), TANH)
-        assert 0 < fp.c_star < 1
-        # The 41-point scan alone made 40-41 calls here.
-        assert len(map_calls) <= 12
+    def test_at_most_two_activation_passes(self, sw2, sb2, rho):
+        c_star, evaluations, passes = self.solve(mf.HyperParams(sw2, sb2, rho))
+        assert 0 < c_star < 1
+        assert evaluations >= 3
+        assert passes <= 2
 
-    def test_dropout_grid_cost(self, map_calls):
-        worst = 0
+    def test_dropout_grid_cost(self):
+        most_evaluations = most_passes = 0
         for rho in (0.9, 0.99):
             for sw2 in np.linspace(1.0, 3.0, 5):
-                del map_calls[:]
-                mf.fixed_point(mf.HyperParams(sw2, 0.05, rho), TANH)
-                worst = max(worst, len(map_calls))
-        assert worst <= 15
+                _, evaluations, passes = self.solve(mf.HyperParams(sw2, 0.05, rho))
+                most_evaluations = max(most_evaluations, evaluations)
+                most_passes = max(most_passes, passes)
+        assert most_evaluations > 2
+        assert most_passes <= 2
+
+
+@given(act=st.sampled_from([TANH, HARD_TANH]), sw2=st.floats(0.2, 4.0),
+       sb2=st.floats(0.0, 0.3), rho=st.floats(0.8, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_c_star_is_a_correlation_everywhere(act, sw2, sb2, rho):
+    # The Mehler series is increasing and convex, so the solver needs no
+    # boundary fallback and meets no unstable root.
+    fp = mf.fixed_point(mf.HyperParams(sw2, sb2, rho), act)
+    assert 0.0 <= fp.c_star <= 1.0
 
 
 class TestDepthScales:

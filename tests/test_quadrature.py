@@ -1,4 +1,9 @@
-"""Gauss-Hermite quadrature against closed forms and Monte Carlo oracles."""
+"""Gauss-Hermite quadrature against closed forms and Monte Carlo oracles.
+
+Pair expectations E[f(u1) f(u2)] are Mehler series in the Hermite
+coefficients; they are tested through ``meanfield.covariance_map`` at
+sigma_w^2 = 1, sigma_b^2 = 0, where the map is the bare pair moment.
+"""
 import math
 
 import numpy as np
@@ -6,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signalprop import meanfield as mf
+from signalprop.activations import builtin
 from signalprop.errors import DomainError, NumericError
 from signalprop.quadrature import (
-    CorrelatedPair,
     QuadratureRule,
     gauss_expect_1d,
-    gauss_expect_2d,
+    hermite_coefficients,
     rule,
 )
 
@@ -21,6 +27,12 @@ from signalprop.quadrature import (
 MC_TANH_SQ_Q08 = 0.3540733865930443
 MC_TANH_PAIR_Q08_C06 = 0.20413129813535238
 MC_TOL = 1.5e-4
+
+TANH = builtin("tanh")
+LINEAR = builtin("linear")
+HARD_TANH = builtin("hard_tanh")
+#: covariance_map with these parameters is E[phi(u1) phi(u2)].
+BARE = mf.HyperParams(sigma_w_sq=1.0, sigma_b_sq=0.0)
 
 
 class TestRule:
@@ -63,40 +75,62 @@ class TestExpect1d:
             gauss_expect_1d(lambda z: np.full_like(z, np.nan), rule(21))
 
 
-class TestExpect2d:
+class TestHermiteCoefficients:
+    @pytest.mark.parametrize("order", [21, 61, 201])
+    @pytest.mark.parametrize("f", [
+        lambda z: np.tanh(math.sqrt(0.8) * z),
+        lambda z: HARD_TANH.phi(1.7 * z),
+        lambda z: np.cos(z) + 0.3 * z ** 3,
+    ])
+    def test_discrete_parseval(self, f, order):
+        quad = rule(order)
+        a = hermite_coefficients(f, quad)
+        assert a.shape == (order,)
+        second_moment = gauss_expect_1d(lambda z: f(z) ** 2, quad)
+        assert math.isclose(float(a @ a), second_moment, rel_tol=1e-14)
+
+    def test_square_of_z(self):
+        # z^2 = He_0 + He_2 and h_2 = He_2 / sqrt(2!).
+        a = hermite_coefficients(lambda z: z ** 2, rule(31))
+        expected = np.zeros(31)
+        expected[0], expected[2] = 1.0, math.sqrt(2.0)
+        np.testing.assert_allclose(a, expected, rtol=0, atol=1e-13)
+
+    def test_nonfinite_integrand_raises(self):
+        with pytest.raises(NumericError):
+            hermite_coefficients(lambda z: np.full_like(z, np.inf), rule(21))
+
+
+class TestPairExpectation:
     def test_bilinear_moment(self):
         # E[u1 u2] = c sqrt(q_a q_b) by construction of the pair.
-        pair = CorrelatedPair(q_a=0.7, q_b=1.3, c=0.35)
-        value = gauss_expect_2d(lambda u1, u2: u1 * u2, pair, rule(31))
+        value = mf.covariance_map(0.35, 0.7, 1.3, BARE, LINEAR, rule(31))
         assert math.isclose(value, 0.35 * math.sqrt(0.7 * 1.3), rel_tol=1e-12)
 
     def test_tanh_pair_against_monte_carlo(self):
-        pair = CorrelatedPair(q_a=0.8, q_b=0.8, c=0.6)
-        value = gauss_expect_2d(lambda u1, u2: np.tanh(u1) * np.tanh(u2), pair)
+        value = mf.covariance_map(0.6, 0.8, 0.8, BARE, TANH)
         assert abs(value - MC_TANH_PAIR_Q08_C06) < MC_TOL
 
     def test_perfect_correlation_collapses_to_1d(self):
-        # At c = 1 the two arguments coincide exactly (no sqrt(1 - c^2)
-        # cancellation), so the 2d integral equals the 1d second moment.
-        pair = CorrelatedPair(q_a=0.8, q_b=0.8, c=1.0)
-        two_d = gauss_expect_2d(lambda u1, u2: np.tanh(u1) * np.tanh(u2), pair)
-        sq = math.sqrt(0.8)
-        one_d = gauss_expect_1d(lambda z: np.tanh(sq * z) ** 2)
+        # At c = 1 the series sums the squared coefficients, which equals
+        # the variance map's second moment (discrete Parseval).
+        two_d = mf.covariance_map(1.0, 0.8, 0.8, BARE, TANH)
+        one_d = mf.variance_map(0.8, BARE, TANH)
         assert math.isclose(two_d, one_d, rel_tol=1e-14)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(q_a=-0.1, q_b=1.0, c=0.0),
-        dict(q_a=1.0, q_b=1.0, c=1.5),
-        dict(q_a=1.0, q_b=1.0, c=-1.5),
+    @pytest.mark.parametrize("c,q_a,q_b", [
+        (0.0, -0.1, 1.0),
+        (0.0, 1.0, -0.1),
+        (1.5, 1.0, 1.0),
+        (-1.5, 1.0, 1.0),
     ])
-    def test_invalid_pair(self, kwargs):
+    def test_invalid_pair(self, c, q_a, q_b):
         with pytest.raises(DomainError):
-            CorrelatedPair(**kwargs)
+            mf.covariance_map(c, q_a, q_b, BARE, TANH)
 
 
 @given(c=st.floats(-0.999, 0.999), q=st.floats(0.05, 4.0))
 @settings(max_examples=40, deadline=None)
 def test_pair_correlation_preserved(c, q):
-    pair = CorrelatedPair(q_a=q, q_b=q, c=c)
-    cov = gauss_expect_2d(lambda u1, u2: u1 * u2, pair, rule(21))
+    cov = mf.covariance_map(c, q, q, BARE, LINEAR, rule(21))
     assert math.isclose(cov, c * q, rel_tol=1e-10, abs_tol=1e-12)
