@@ -143,11 +143,11 @@ def variance_map(q: float, hp: HyperParams, act: Activation,
     return hp.effective_sigma_w_sq * second_moment + hp.sigma_b_sq
 
 
-def _mehler_coefficients(q: float, act: Activation,
+def _mehler_coefficients(f, q: float,
                          quad: QuadratureRule | None) -> np.ndarray:
-    """a_n(q) = E[phi(sqrt(q) z) h_n(z)], the Hermite coefficients of phi at q."""
+    """a_n(q) = E[f(sqrt(q) z) h_n(z)], the Hermite coefficients of f at q."""
     sq = math.sqrt(q)
-    return hermite_coefficients(lambda z: act.phi(sq * z), quad)
+    return hermite_coefficients(lambda z: f(sq * z), quad)
 
 
 def _power_series(coefficients: np.ndarray, c: float) -> float:
@@ -167,8 +167,8 @@ def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
         raise DomainError(f"variances must be nonnegative, got q_a={q_a}, q_b={q_b}")
     if abs(c) > 1:
         raise DomainError(f"correlation must lie in [-1, 1], got {c}")
-    a = _mehler_coefficients(q_a, act, quad)
-    b = a if q_b == q_a else _mehler_coefficients(q_b, act, quad)
+    a = _mehler_coefficients(act.phi, q_a, quad)
+    b = a if q_b == q_a else _mehler_coefficients(act.phi, q_b, quad)
     return hp.sigma_w_sq * _power_series(a * b, c) + hp.sigma_b_sq
 
 
@@ -348,25 +348,25 @@ def correlation_slope(hp: HyperParams, act: Activation, q_star: float,
                       c_star: float, quad: QuadratureRule | None = None) -> float:
     """Linearization of the correlation map about its fixed point.
 
-    The derivative of the Mehler series, (sigma_w^2 / q*) sum_n n a_n^2
-    c^(n-1); by Price's theorem this is sigma_w^2 E[phi'(u1) phi'(u2)].
-    Carries the bare sigma_w^2 even with dropout. For the degenerate
-    q* = 0 point the integrand is constant and the slope reduces to
-    sigma_w^2 phi'(0)^2.
+    By Price's theorem the slope is sigma_w^2 E[phi'(u1) phi'(u2)], the
+    Mehler series sigma_w^2 sum_n b_n^2 c^n of phi' (b_n its Hermite
+    coefficients at q*). At c = 1 it is sigma_w^2 E[phi'(sqrt(q*) z)^2] to
+    rounding (discrete Parseval), the chi1 integral. Carries the bare
+    sigma_w^2 even with dropout. For the degenerate q* = 0 point the
+    integrand is constant and the slope reduces to sigma_w^2 phi'(0)^2.
     """
     if q_star == 0.0:
         return hp.sigma_w_sq * float(act.d_phi(np.float64(0.0))) ** 2
-    a_sq = _mehler_coefficients(q_star, act, quad) ** 2
-    n = np.arange(1, len(a_sq))
-    return hp.sigma_w_sq / q_star * _power_series(n * a_sq[1:], c_star)
+    b = _mehler_coefficients(act.d_phi, q_star, quad)
+    return hp.sigma_w_sq * _power_series(b * b, c_star)
 
 
 def xi_c(hp: HyperParams, act: Activation, q_star: float, c_star: float,
          quad: QuadratureRule | None = None) -> float:
     """Depth scale of pair-correlation convergence.
 
-    At c* = 1 the slope series is a discrete form of the chi1 integral, so
-    the result agrees with -1/log(chi1) in the ordered phase.
+    At c* = 1 the slope equals chi1 to rounding (rho = 1), so the result
+    agrees with -1/log(chi1) in the ordered phase.
     """
     if not 0 <= c_star <= 1:
         raise DomainError(f"c_star must lie in [0, 1], got {c_star}")
@@ -382,21 +382,21 @@ def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
     # F(c) = sum_n weights[n] c^n + sigma_b^2 / q* with weights >= 0, so
     # F(0) >= 0 and F(c) - c is convex: when F(1) < 1 or F'(1) > 1 it has
     # one root in [0, 1), where F' < 1, and [0, 1] always brackets it.
-    weights = hp.sigma_w_sq / q_star * _mehler_coefficients(q_star, act, quad) ** 2
+    weights = hp.sigma_w_sq / q_star * _mehler_coefficients(act.phi, q_star, quad) ** 2
     bias = hp.sigma_b_sq / q_star
     displacement = lambda c: _power_series(weights, c) + bias - c
 
     if hp.rho == 1.0:
         # c = 1 is an exact fixed point without dropout; it is the stable
-        # one iff the map's slope there does not exceed 1.
-        slope_at_one = float(np.arange(len(weights)) @ weights)
+        # one iff the map's slope there, chi1, does not exceed 1.
+        slope_at_one = correlation_slope(hp, act, q_star, 1.0, quad)
         if slope_at_one <= 1.0 + CRITICALITY_TOL:
             return 1.0, 0
         # Chaotic: the stable root sits strictly below 1. Dividing out the
-        # root at c = 1 keeps the sign below 1 and gives the limit
-        # 1 - slope_at_one < 0 at c = 1, so the bracket's upper end stays
-        # open and the map is never evaluated where rounding noise
-        # dominates.
+        # root at c = 1 keeps the sign below 1; its limit at c = 1 is
+        # 1 - slope_at_one < 0 (up to quadrature error), so the bracket's
+        # upper end stays open and the map is never evaluated where
+        # rounding noise dominates.
         bracketed = lambda c: displacement(c) / (1.0 - c)
         f_hi = 1.0 - slope_at_one
     else:

@@ -74,6 +74,16 @@ class TestGradCovariance:
         slope = mf.correlation_slope(hp, TANH, fp.q_star, fp.c_star)
         assert factor == slope
 
+    @pytest.mark.parametrize("name", ["tanh", "hard_tanh"])
+    def test_ordered_factor_is_chi1(self, name):
+        # At c* = 1 gradient covariances decay like gradient variances.
+        act = builtin(name)
+        hp = mf.HyperParams(0.9, 0.1)
+        fp = mf.fixed_point(hp, act)
+        assert fp.c_star == 1.0
+        factor = backprop.grad_covariance_factor(hp, act, fp.q_star, fp.c_star)
+        assert math.isclose(factor, mf.chi1(hp, act, fp.q_star), rel_tol=1e-14)
+
     def test_trajectory_geometric(self):
         hp = mf.HyperParams(0.5, 0.1)
         fp = mf.fixed_point(hp, LINEAR)

@@ -244,21 +244,37 @@ class TestCorrelationSolverCost:
 
 
 @given(act=st.sampled_from([TANH, HARD_TANH]), sw2=st.floats(0.2, 4.0),
-       sb2=st.floats(0.0, 0.3), rho=st.floats(0.8, 1.0))
+       sb2=st.floats(0.0, 0.3),
+       rho=st.one_of(st.just(1.0), st.floats(0.8, 1.0)))
 @settings(max_examples=60, deadline=None)
 def test_c_star_is_a_correlation_everywhere(act, sw2, sb2, rho):
     # The Mehler series is increasing and convex, so the solver needs no
     # boundary fallback and meets no unstable root.
-    fp = mf.fixed_point(mf.HyperParams(sw2, sb2, rho), act)
+    hp = mf.HyperParams(sw2, sb2, rho)
+    fp = mf.fixed_point(hp, act)
     assert 0.0 <= fp.c_star <= 1.0
+    if rho == 1.0 and not fp.degenerate:
+        # Phase and c* rest on the same slope: c* = 1 exactly when ordered.
+        chi = mf.chi1(hp, act, fp.q_star)
+        assert (fp.c_star == 1.0) == (chi <= 1.0 + mf.CRITICALITY_TOL)
 
 
 class TestDepthScales:
-    def test_ordered_xi_c_matches_xi_grad(self):
-        # At c* = 1 the correlation slope equals chi1.
-        hp = mf.HyperParams(1.5, 0.05)
-        scales = mf.depth_scales(hp, TANH)
+    @pytest.mark.parametrize("act,sw2,sb2", [
+        (TANH, 1.5, 0.05),
+        (HARD_TANH, 0.9, 0.1),
+        (HARD_TANH, 1.0, 0.05),
+    ])
+    def test_ordered_xi_c_matches_xi_grad(self, act, sw2, sb2):
+        # At c* = 1 the correlation slope equals chi1, also for an
+        # activation whose phi' is a step.
+        hp = mf.HyperParams(sw2, sb2)
+        fp = mf.fixed_point(hp, act)
+        scales = mf.depth_scales(hp, act, fp=fp)
+        assert fp.c_star == 1.0
         assert math.isclose(scales.xi_c, scales.xi_grad, rel_tol=1e-9)
+        slope = mf.correlation_slope(hp, act, fp.q_star, 1.0)
+        assert math.isclose(slope, scales.chi1, rel_tol=1e-14)
 
     def test_chaotic_signs(self):
         scales = mf.depth_scales(mf.HyperParams(2.5, 0.05), TANH)
