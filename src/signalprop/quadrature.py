@@ -71,7 +71,7 @@ def rule(order: int | None = None) -> QuadratureRule:
     ``None`` selects :func:`default_order`, which reads the environment
     on every call rather than once per process. Orders below
     ``MIN_ORDER`` are rejected, whether they come from the caller or from
-    the environment.
+    the environment, and so are orders too large for numpy's rule.
     """
     source = "quadrature order"
     if order is None:
@@ -87,9 +87,14 @@ def _rule(order: int) -> QuadratureRule:
 
     The physicists' rule integrates exp(-x^2) g(x); substituting
     z = sqrt(2) x and dividing the weights by sqrt(pi) turns it into the
-    standard Gaussian measure.
+    standard Gaussian measure. From order 375 on, numpy's weights
+    overflow to nan, and such an order is rejected.
     """
-    x, w = hermgauss(order)
+    with np.errstate(all="ignore"):
+        x, w = hermgauss(order)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise DomainError(f"quadrature order {order} is too large: its "
+                          "Gauss-Hermite nodes or weights are not finite")
     return QuadratureRule(
         order=order,
         nodes=np.sqrt(2.0) * x,

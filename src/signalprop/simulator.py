@@ -1,6 +1,6 @@
 """Monte Carlo validation on finite-width random networks.
 
-Instantiates actual random networks (weights N(0, sigma_w^2/N), biases
+Samples actual random networks (weights N(0, sigma_w^2/N), biases
 N(0, sigma_b^2), optional per-input Bernoulli dropout masks), propagates
 inputs forward, and backpropagates a cross-entropy loss through a softmax
 readout, producing empirical layer-by-layer statistics to compare against
@@ -10,14 +10,23 @@ One kernel serves every entry point: k inputs (one for gradient norms, a
 pair for moments and gradient covariances) share each sampled network,
 each input with its own dropout masks. Per layer it returns the k x k Gram
 matrix of the pre-activations and, given targets, of the weight gradients.
-Each layer's weights are drawn once for the forward pass and once more for
-the backward pass, whatever k is.
+
+No N x N weight matrix is drawn. A layer only multiplies k vectors by W,
+and by Gaussian conditioning (Bolthausen; Yang, Tensor Programs, arXiv
+1902.04760) those products are sampled exactly, at any width, from N k
+normals. With F the k x N effective inputs, F = L Q (L L^T = F F^T, Q with
+orthonormal rows) and g k x N standard normals, the forward pass is
+z = sqrt(sigma_w^2/N) L g + b. Given that draw, W = sqrt(sigma_w^2/N) g^T Q
++ W~ (I - Q^T Q) with W~ independent, so the ``tied`` backward pass is
+delta W = sqrt(sigma_w^2/N) (delta g^T) Q + delta W~ (I - Q^T Q), and the
+``independent`` one is the fresh term delta W~ alone, drawn like the
+forward pass from delta's Gram matrix. Only the softmax readout (C x N,
+C = 10 classes) is a dense draw.
 
 Randomness comes from a counter-based generator (Philox) with a dedicated
 substream per (network, layer, role), so results are bit-reproducible and
-realizations can be evaluated independently in any order. In particular
-weight matrices are re-drawn from their substream during the backward
-pass instead of being stored, keeping memory at O(L * N * k).
+realizations can be evaluated independently in any order. Memory is
+O(L * N * k).
 """
 from __future__ import annotations
 
@@ -38,6 +47,10 @@ _ROLE_BACKWARD = 4
 _ROLE_INPUT = 5
 _ROLE_READOUT = 6
 _MASK_ROLES = (_ROLE_MASK_A, _ROLE_MASK_B)
+
+#: A residual below this fraction of its row's norm is dropped: its square
+#: is below the rounding of a float64 Gram entry.
+_RANK_RTOL = math.sqrt(np.finfo(float).eps)
 
 BACKPROP_MODES = ("tied", "independent")
 
@@ -120,12 +133,14 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     )
 
 
-def _weights(cfg: NetworkConfig, network: int, layer: int,
-             role: int = _ROLE_WEIGHTS, shape=None) -> np.ndarray:
-    n = cfg.width
-    scale = math.sqrt(cfg.hp.sigma_w_sq / n)
-    rng = _substream(cfg.seed, network, layer, role)
-    return rng.normal(0.0, scale, size=shape if shape is not None else (n, n))
+def _normals(cfg: NetworkConfig, network: int, layer: int, role: int,
+             shape: tuple[int, int]) -> np.ndarray:
+    """Standard normals of one (network, layer, role) substream.
+
+    Row i of a k x N block is the same for every k >= i + 1.
+    """
+    return _substream(cfg.seed, network, layer, role).standard_normal(shape)
+
 
 def _biases(cfg: NetworkConfig, network: int, layer: int, size=None) -> np.ndarray:
     rng = _substream(cfg.seed, network, layer, _ROLE_BIASES)
@@ -156,6 +171,48 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     depend on k the way a blocked BLAS product (``rows @ rows.T``) does.
     """
     return (rows[:, None, :] * rows[None, :, :]).sum(axis=2)
+
+
+def _factor(rows: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split k <= 2 rows with Gram matrix ``gram`` as ``low @ basis``.
+
+    ``low`` is lower triangular (``low @ low.T == gram`` to rounding) and
+    ``basis`` has orthonormal rows, except that a row which is zero, or whose
+    residual against the row above is below ``_RANK_RTOL`` of its norm, gets
+    a zero diagonal and a zero basis row. The coefficient on the row above
+    is a ratio of Gram entries, so identical rows get identical rows of
+    ``low``; row 0 of ``low`` does not depend on k.
+    """
+    low = np.zeros((len(rows), len(rows)))
+    basis = np.zeros_like(rows)
+    low[0, 0] = math.sqrt(gram[0, 0])
+    if low[0, 0] > 0:
+        basis[0] = rows[0] / low[0, 0]
+    if len(rows) == 2:
+        ratio = gram[1, 0] / gram[0, 0] if low[0, 0] > 0 else 0.0
+        resid = rows[1] - ratio * rows[0]
+        norm_sq = float(resid @ resid)
+        low[1, 0] = ratio * low[0, 0]
+        if norm_sq > _RANK_RTOL ** 2 * gram[1, 1]:
+            low[1, 1] = math.sqrt(norm_sq)
+            basis[1] = resid / low[1, 1]
+    return low, basis
+
+
+def _gaussian_rows(cfg: NetworkConfig, rows: np.ndarray, gram: np.ndarray,
+                   network: int, layer: int, role: int):
+    """Draw ``rows @ W.T`` (or ``rows @ W``, the same law) for W with i.i.d.
+    N(0, sigma_w^2/N) entries, from the k x N normals g of one substream.
+
+    Its columns are i.i.d. N(0, sigma_w^2/N gram), so the draw is
+    sqrt(sigma_w^2/N) low @ g (:func:`_factor`). Returns it with g and
+    ``basis``, since W @ basis.T = sqrt(sigma_w^2/N) g.T is what the tied
+    backward pass conditions on. The scale multiplies ``low``, not
+    ``gram``, so a large sigma_w^2 overflows no earlier than the draw.
+    """
+    low, basis = _factor(rows, gram)
+    normals = _normals(cfg, network, layer, role, (len(rows), cfg.width))
+    return math.sqrt(cfg.hp.sigma_w_sq / cfg.width) * low @ normals, normals, basis
 
 
 def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
@@ -205,7 +262,8 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
     each layer's weights and biases. Returns ``(gram, grad)``, both
     (n_networks, depth, k, k): ``gram[net, l]`` is the Gram matrix of the
     layer-l pre-activations divided by N. A network stops at the first
-    layer whose Gram matrix is not finite and leaves NaN from there on.
+    layer whose input or pre-activation Gram matrix is not finite and
+    leaves NaN from there on.
 
     With ``targets`` (k x n_classes), each network that reaches the top
     feeds a softmax readout; ``grad[net, l]`` then holds the dot products
@@ -213,49 +271,64 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
     cross-entropy losses, since the gradient with respect to W^l
     factorizes as delta^l outer f^l. In ``independent`` mode every
     backward matrix is a fresh i.i.d. draw with the forward statistics; in
-    ``tied`` mode the forward matrices are re-drawn from their substreams
-    (bit-identical to the forward pass). Without targets ``grad`` is None.
+    ``tied`` mode it is the forward matrix, sampled given the forward draw
+    (see the module docstring). Without targets ``grad`` is None.
     """
     if n_networks < 1:
         raise DomainError(f"n_networks must be >= 1, got {n_networks}")
     act = cfg.resolve_activation()
     depth, rho, k = cfg.depth, cfg.hp.rho, len(inputs)
     tied = cfg.backprop_weights == "tied"
+    scale = math.sqrt(cfg.hp.sigma_w_sq / cfg.width)
     gram = np.full((n_networks, depth, k, k), np.nan)
     grad = None if targets is None else np.full_like(gram, np.nan)
 
     for net in range(n_networks):
-        # fs[l] is the effective input to weight layer l: (mask * y) / rho.
+        # fs[l] is the effective input to weight layer l: (mask * y) / rho;
+        # f_grams[l] its Gram matrix, drawn[l] the normals and basis of W^l.
         fs = [inputs if rho == 1.0 else _masks(cfg, net, 0, k) * inputs / rho]
-        zs = []
+        f_grams, drawn, zs = [], [], []
         for l in range(depth):
-            z = _matvecs(_weights(cfg, net, l), fs[l]) + _biases(cfg, net, l)
+            f_gram = _gram(fs[l])
+            if not np.all(np.isfinite(f_gram)):
+                break
+            u, normals, basis = _gaussian_rows(cfg, fs[l], f_gram, net, l, _ROLE_WEIGHTS)
+            z = u + _biases(cfg, net, l)
             moments = _gram(z) / cfg.width
             if not np.all(np.isfinite(moments)):
                 break
             gram[net, l] = moments
+            f_grams.append(f_gram)
+            drawn.append((normals, basis))
             zs.append(z)
             y = act.phi(z)
             fs.append(y if rho == 1.0 else _masks(cfg, net, l + 1, k) * y / rho)
         if targets is None or len(zs) < depth:
             continue
 
-        w_up = _weights(cfg, net, depth, _ROLE_READOUT,
-                        shape=(targets.shape[1], cfg.width))
-        logits = _matvecs(w_up, fs[depth]) + _biases(cfg, net, depth, size=targets.shape[1])
+        n_classes = targets.shape[1]
+        w_up = scale * _normals(cfg, net, depth, _ROLE_READOUT, (n_classes, cfg.width))
+        logits = _matvecs(w_up, fs[depth]) + _biases(cfg, net, depth, size=n_classes)
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         delta = p - targets
-        if not tied:
-            w_up = _weights(cfg, net, depth, _ROLE_BACKWARD, shape=w_up.shape)
-        for l in range(depth - 1, -1, -1):
+        if tied:
             grad_y = _matvecs(w_up.T, delta)
+        else:
+            grad_y, _, _ = _gaussian_rows(cfg, delta, _gram(delta), net, depth,
+                                          _ROLE_BACKWARD)
+        for l in range(depth - 1, -1, -1):
             if rho < 1.0:
                 grad_y *= _masks(cfg, net, l + 1, k) / rho
             delta = act.d_phi(zs[l]) * grad_y
-            grad[net, l] = _gram(delta) * _gram(fs[l])
-            if l > 0:
-                w_up = _weights(cfg, net, l, _ROLE_WEIGHTS if tied else _ROLE_BACKWARD)
+            delta_gram = _gram(delta)
+            grad[net, l] = delta_gram * f_grams[l]
+            if l == 0:
+                break
+            grad_y, _, _ = _gaussian_rows(cfg, delta, delta_gram, net, l, _ROLE_BACKWARD)
+            if tied:
+                normals, basis = drawn[l]
+                grad_y += (scale * (delta @ normals.T) - grad_y @ basis.T) @ basis
     return gram, grad
 
 

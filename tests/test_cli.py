@@ -56,6 +56,23 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err == f"error: quadrature order must be >= 2, got {order}\n"
 
+    def test_non_finite_rule_flag_exits_with_message(self, capsys):
+        status = cli.main(["phase-diagram", "--sigma-w-sq", "1.7",
+                           "--sigma-b-sq", "0.05", "--quad-order", "400"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == ("error: quadrature order 400 is too large: its "
+                                "Gauss-Hermite nodes or weights are not finite\n")
+
+    def test_non_finite_rule_env_exits_with_message(self, monkeypatch, capsys):
+        monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", "400")
+        status = cli.main(["critical-line", "--sigma-b-sq", "0.05"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: quadrature order 400 is too large")
+
     def test_bad_flag_exits_with_message(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["phase-diagram", "--sigma-w-sq", "1:2"])

@@ -43,7 +43,7 @@ class TestRule:
     def test_cached(self):
         assert rule(41) is rule(41)
 
-    @pytest.mark.parametrize("order", [1, 0, -3])
+    @pytest.mark.parametrize("order", [1, 0, -3, 400])
     def test_invalid_order(self, order):
         with pytest.raises(DomainError):
             rule(order)

@@ -148,32 +148,27 @@ class TestGradients:
 
 class TestKernel:
     @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
-    def test_covariance_draws_each_matrix_once_per_pass(self, monkeypatch, mode):
-        draws = Counter()
-        original = sim._weights
+    def test_normals_drawn_per_network(self, monkeypatch, mode):
+        # k x N normals per layer and pass instead of an N x N matrix; the
+        # C x N readout is the only dense draw.
+        drawn = Counter()
+        original = sim._normals
 
-        def counted(cfg, network, layer, role=sim._ROLE_WEIGHTS, shape=None):
-            draws[network, layer, role] += 1
+        def counted(cfg, network, layer, role, shape):
+            drawn[network] += shape[0] * shape[1]
+            assert shape[0] <= 10 and shape[1] == cfg.width
             return original(cfg, network, layer, role, shape)
 
-        monkeypatch.setattr(sim, "_weights", counted)
-        cfg = make_config(depth=6, width=40, backprop_weights=mode)
+        monkeypatch.setattr(sim, "_normals", counted)
+        cfg = make_config(depth=6, width=200, backprop_weights=mode)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         target = np.eye(10)[0]
         sim.backward_covariance(cfg, x_a, x_b, (target, target), 3)
-        # Layer 0 needs no backward matrix; the readout is drawn once.
-        backward = sim._ROLE_WEIGHTS if mode == "tied" else sim._ROLE_BACKWARD
-        expected = Counter()
-        for net in range(3):
-            expected[net, cfg.depth, sim._ROLE_READOUT] += 1
-            if mode == "independent":
-                expected[net, cfg.depth, sim._ROLE_BACKWARD] += 1
-            for layer in range(cfg.depth):
-                expected[net, layer, sim._ROLE_WEIGHTS] += 1
-                if layer > 0:
-                    expected[net, layer, backward] += 1
-        assert draws == expected
-        assert sum(draws.values()) == 3 * 2 * cfg.depth + (3 if mode == "independent" else 0)
+        k, n = 2, cfg.width
+        bound = 2 * cfg.depth * n * k + 10 * n
+        assert bound < n * n
+        assert sorted(drawn) == [0, 1, 2]
+        assert all(count <= bound for count in drawn.values())
 
     @pytest.mark.parametrize("rho", [1.0, 0.9])
     @pytest.mark.parametrize("sw2,depth,expected", [
@@ -197,15 +192,108 @@ class TestKernel:
         assert np.all(np.isfinite(emp.q_aa_hat)) and np.all(np.isfinite(emp.c_ab_hat))
 
     def test_each_input_of_a_pair_runs_as_if_alone(self):
-        # Sharing a network changes no bit of either input's arithmetic.
-        cfg = make_config(hp=mf.HyperParams(2.5, 0.05, 0.9), depth=12, width=60)
-        x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
-        target = np.eye(10)[0]
-        pair = sim._propagate(cfg, np.stack([x_a, x_b]), 2, np.stack([target, target]))
-        alone = sim._propagate(cfg, np.stack([x_a]), 2, np.stack([target]))
-        for both, single in zip(pair, alone):
-            assert np.all(np.isfinite(single))
-            np.testing.assert_array_equal(both[:, :, :1, :1], single)
+        # Sharing a network changes no bit of either input's forward
+        # arithmetic. Backward, independent mode draws each input's fresh
+        # term from the same normals; tied mode samples the weights given
+        # both forward products, so a pair differs from a run alone in
+        # realization (not in distribution).
+        for mode in sim.BACKPROP_MODES:
+            cfg = make_config(hp=mf.HyperParams(2.5, 0.05, 0.9), depth=12, width=60,
+                              backprop_weights=mode)
+            x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
+            target = np.eye(10)[0]
+            pair = sim._propagate(cfg, np.stack([x_a, x_b]), 2, np.stack([target, target]))
+            alone = sim._propagate(cfg, np.stack([x_a]), 2, np.stack([target]))
+            assert all(np.all(np.isfinite(single)) for single in alone)
+            np.testing.assert_array_equal(pair[0][:, :, :1, :1], alone[0])
+            if mode == "independent":
+                np.testing.assert_array_equal(pair[1][:, :, :1, :1], alone[1])
+
+    def test_identical_inputs_stay_identical(self):
+        # c0 = 1 without dropout gives x_b == x_a, a rank-one input block:
+        # both rows must stay bit-identical through every layer.
+        cfg = make_config(depth=10, width=80)
+        x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 1.0)
+        assert np.array_equal(x_a, x_b)
+        emp = sim.forward_pair(cfg, x_a, x_b, 4)
+        assert emp.truncated_at is None
+        assert np.all(emp.c_ab_hat == 1.0)
+        assert np.all(emp.c_ab_stderr == 0.0)
+
+    def test_fully_masked_inputs(self):
+        # At width 1 dropout masks whole input rows; a zero row has zero
+        # weight gradients and leaves the other row's draw well defined.
+        cfg = make_config(hp=mf.HyperParams(1.7, 0.05, 0.5), depth=6, width=1)
+        x_a, x_b = np.array([0.9]), np.array([-0.4])
+        targets = np.stack([np.eye(10)[0], np.eye(10)[3]])
+        gram, grad = sim._propagate(cfg, np.stack([x_a, x_b]), 40, targets)
+        assert np.all(np.isfinite(gram)) and np.all(np.isfinite(grad))
+        assert np.any(grad[:, :, 0, 0] == 0) and np.any(grad[:, :, 1, 1] == 0)
+        assert np.all(grad[:, :, 0, 0] >= 0) and np.all(grad[:, :, 1, 1] >= 0)
+
+
+def dense_propagate(cfg, inputs, n_networks, targets, rng):
+    """Reference for ``sim._propagate``: every weight matrix drawn in full.
+
+    The backward pass reuses the forward matrices (tied) or draws fresh
+    ones (independent). One plain generator serves every draw; O(N^2)
+    normals per layer, so only for small widths.
+    """
+    act = cfg.resolve_activation()
+    depth, rho, k, n = cfg.depth, cfg.hp.rho, len(inputs), cfg.width
+    hp, n_classes = cfg.hp, targets.shape[1]
+
+    def weights(rows=n):
+        return math.sqrt(hp.sigma_w_sq / n) * rng.standard_normal((rows, n))
+
+    def biases(size=n):
+        return math.sqrt(hp.sigma_b_sq) * rng.standard_normal(size)
+
+    gram = np.empty((n_networks, depth, k, k))
+    grad = np.empty_like(gram)
+    for net in range(n_networks):
+        keep = [(rng.random((k, n)) < rho) / rho for _ in range(depth + 1)]
+        fs, ws, zs = [keep[0] * inputs], [], []
+        for l in range(depth):
+            ws.append(weights())
+            zs.append(fs[l] @ ws[l].T + biases())
+            gram[net, l] = zs[l] @ zs[l].T / n
+            fs.append(keep[l + 1] * act.phi(zs[l]))
+        w_up = weights(n_classes)
+        logits = fs[depth] @ w_up.T + biases(n_classes)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        delta = p / p.sum(axis=1, keepdims=True) - targets
+        tied = cfg.backprop_weights == "tied"
+        back = w_up if tied else weights(n_classes)
+        for l in range(depth - 1, -1, -1):
+            delta = act.d_phi(zs[l]) * (delta @ back) * keep[l + 1]
+            grad[net, l] = (delta @ delta.T) * (fs[l] @ fs[l].T)
+            back = ws[l] if tied else weights()
+    return gram, grad
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("rho", [1.0, 0.7])
+    @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
+    def test_conditioned_sampler_matches_dense(self, mode, rho):
+        # Exact in distribution at any width: at N = 4 every per-layer mean
+        # of a Gram entry and of a gradient dot product agrees with the
+        # dense sampler's within 5 standard errors. A linear net with a
+        # large sigma_w^2 ties its softmax to the weights strongly enough
+        # that sampling tied backward weights as independent ones misses
+        # by 7 to 9 standard errors at rho = 1.
+        cfg = make_config(hp=mf.HyperParams(3.0, 0.1, rho), activation="linear",
+                          depth=3, width=4, backprop_weights=mode, seed=21)
+        x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.3)
+        inputs = np.stack([x_a, x_b])
+        targets = np.stack([np.eye(10)[0], np.eye(10)[4]])
+        n_networks = 3000
+        fast = sim._propagate(cfg, inputs, n_networks, targets)
+        dense = dense_propagate(cfg, inputs, n_networks, targets,
+                                np.random.default_rng(22))
+        for ours, ref in zip(fast, dense):
+            (m1, s1), (m2, s2) = sim._mean_stderr(ours), sim._mean_stderr(ref)
+            assert np.all(np.abs(m1 - m2) <= 5 * np.hypot(s1, s2))
 
 
 class TestInputFile:
