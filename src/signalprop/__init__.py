@@ -2,12 +2,7 @@
 
 from .activations import Activation, builtin
 from .analysis import ExpFit, fit_exponential, residuals
-from .backprop import (
-    grad_covariance_factor,
-    grad_covariance_trajectory,
-    grad_variance_trajectory,
-    xi_grad,
-)
+from .backprop import grad_covariance_factor, xi_grad
 from .meanfield import (
     DepthScales,
     FixedPoint,
@@ -60,8 +55,6 @@ __all__ = [
     "forward_pair",
     "gauss_expect_1d",
     "grad_covariance_factor",
-    "grad_covariance_trajectory",
-    "grad_variance_trajectory",
     "iterate_trajectory",
     "load_input_vectors",
     "prepare_inputs",

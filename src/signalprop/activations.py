@@ -14,8 +14,9 @@ class Activation:
     """A nonlinearity together with its first two derivatives.
 
     All three callables are vectorized (accept and return numpy arrays).
-    ``bounded`` marks activations whose range is bounded, which is what
-    guarantees the variance map has a fixed point for any hyperparameters.
+    The package reads phi and d_phi; ``dd_phi`` is kept only for the
+    benchmark's counting activation. ``bounded`` marks activations whose
+    range is bounded, which guarantees the variance map has a fixed point.
     """
 
     name: str

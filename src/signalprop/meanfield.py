@@ -12,6 +12,10 @@ formula E[phi(u1) phi(u2)] = sum_n a_n(q_a) a_n(q_b) c^n with the Hermite
 coefficients a_n(q) = E[phi(sqrt(q) z) h_n(z)], one 1D pass of phi per
 variance. At q_a = q_b the terms a_n^2 are nonnegative, so the correlation
 map is increasing and convex on [0, 1] and c* is its unique stable root.
+Every map, slope and depth scale reads one record of phi per (activation,
+q, quadrature rule), a :class:`Spectrum`, made from one pass of phi and at
+most one of phi' over the nodes. Readers that revisit a q (the fixed-point
+readers and the trajectory layers) share records through a small cache.
 
 With dropout keep-probability rho < 1 the variance map carries the
 effective weight variance sigma_w^2 / rho, while the covariance map keeps
@@ -21,12 +25,14 @@ removes the c = 1 fixed point for any rho < 1.
 
 Depth scales are the e-folding lengths of exponential convergence toward
 the fixed points (q*, c*); they are read off from the linearization of
-each map about its fixed point.
+each map about its fixed point. The variance map's slope takes dE[phi^2]/dq
+in Stein form, E[z phi phi'] / sqrt(q), which needs no phi'' at kinks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,7 +44,7 @@ from .errors import (
     DomainError,
     NoFixedPointError,
 )
-from .quadrature import QuadratureRule, gauss_expect_1d, hermite_coefficients
+from .quadrature import QuadratureRule, hermite_matrix, node_values, rule
 
 #: |factor - 1| below this counts as criticality (depth scale +inf).
 CRITICALITY_TOL = 1e-12
@@ -117,6 +123,66 @@ class Trajectory:
     c_star: float
 
 
+class Spectrum:
+    """phi at one variance q on one quadrature rule.
+
+    The only place in this module that evaluates phi or phi' on the
+    rule's nodes. Construction makes phi's node values and ``phi_sq`` =
+    E[phi(sqrt(q) z)^2]. The rest is computed on first use, with at most
+    one pass of phi': ``a`` and ``b``, the Hermite coefficients of phi and
+    phi'; ``d_phi_sq`` = E[phi'^2]; ``phi_sq_rate`` = dE[phi^2]/dq.
+    """
+
+    def __init__(self, act: Activation, q: float, quad: QuadratureRule | None = None):
+        self.act, self.q = act, q
+        self.quad = rule() if quad is None else quad
+        self._root_q = sq = math.sqrt(q)
+        self._phi = node_values(lambda z: act.phi(sq * z), self.quad)
+        self.phi_sq = float(self.quad.weights @ self._phi ** 2)
+
+    @cached_property
+    def _d_phi(self) -> np.ndarray:
+        return node_values(lambda z: self.act.d_phi(self._root_q * z), self.quad)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return hermite_matrix(self.quad.order) @ self._phi
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return hermite_matrix(self.quad.order) @ self._d_phi
+
+    @cached_property
+    def d_phi_sq(self) -> float:
+        return float(self.quad.weights @ self._d_phi ** 2)
+
+    @cached_property
+    def phi_sq_rate(self) -> float:
+        """dE[phi^2]/dq = E[z phi phi'] / sqrt(q) (Stein), E[phi'^2] at q = 0."""
+        if self.q == 0.0:
+            return self.d_phi_sq
+        stein = self.quad.nodes * self._phi * self._d_phi
+        return float(self.quad.weights @ stein) / self._root_q
+
+    def next_variance(self, hp: HyperParams) -> float:
+        """The variance map at q."""
+        return hp.effective_sigma_w_sq * self.phi_sq + hp.sigma_b_sq
+
+    def next_covariance(self, other: Spectrum, c: float, hp: HyperParams) -> float:
+        """The covariance map at correlation c between this q and other's."""
+        return hp.sigma_w_sq * _power_series(self.a * other.a, c) + hp.sigma_b_sq
+
+
+#: Room for the fixed point, or a trajectory's two inputs: once their
+#: variances converge bit-exactly, every layer is a hit.
+_cached_spectrum = lru_cache(maxsize=16)(Spectrum)
+
+
+def _spectrum(act: Activation, q: float, quad: QuadratureRule | None) -> Spectrum:
+    """The shared record of phi at q, keyed by activation object, q and rule."""
+    return _cached_spectrum(act, q, rule() if quad is None else quad)
+
+
 def _check_activation(act: Activation, hp: HyperParams) -> None:
     if act.bounded:
         return
@@ -138,16 +204,8 @@ def variance_map(q: float, hp: HyperParams, act: Activation,
     """One step of the single-input variance recursion."""
     if q < 0:
         raise DomainError(f"variance must be nonnegative, got q={q}")
-    sq = math.sqrt(q)
-    second_moment = gauss_expect_1d(lambda z: act.phi(sq * z) ** 2, quad)
-    return hp.effective_sigma_w_sq * second_moment + hp.sigma_b_sq
-
-
-def _mehler_coefficients(f, q: float,
-                         quad: QuadratureRule | None) -> np.ndarray:
-    """a_n(q) = E[f(sqrt(q) z) h_n(z)], the Hermite coefficients of f at q."""
-    sq = math.sqrt(q)
-    return hermite_coefficients(lambda z: f(sq * z), quad)
+    # Uncached: the q* iteration never revisits an iterate.
+    return Spectrum(act, q, quad).next_variance(hp)
 
 
 def _power_series(coefficients: np.ndarray, c: float) -> float:
@@ -167,9 +225,7 @@ def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
         raise DomainError(f"variances must be nonnegative, got q_a={q_a}, q_b={q_b}")
     if abs(c) > 1:
         raise DomainError(f"correlation must lie in [-1, 1], got {c}")
-    a = _mehler_coefficients(act.phi, q_a, quad)
-    b = a if q_b == q_a else _mehler_coefficients(act.phi, q_b, quad)
-    return hp.sigma_w_sq * _power_series(a * b, c) + hp.sigma_b_sq
+    return _spectrum(act, q_a, quad).next_covariance(_spectrum(act, q_b, quad), c, hp)
 
 
 def correlation_map(c: float, q_a: float, q_b: float, hp: HyperParams,
@@ -311,10 +367,7 @@ def chi1(hp: HyperParams, act: Activation, q_star: float,
     """
     if q_star < 0:
         raise DomainError(f"q_star must be >= 0, got {q_star}")
-    sq = math.sqrt(q_star)
-    return hp.effective_sigma_w_sq * gauss_expect_1d(
-        lambda z: act.d_phi(sq * z) ** 2, quad
-    )
+    return hp.effective_sigma_w_sq * _spectrum(act, q_star, quad).d_phi_sq
 
 
 def _scale_from_factor(factor: float, allow_growth: bool = False) -> float:
@@ -333,15 +386,12 @@ def _scale_from_factor(factor: float, allow_growth: bool = False) -> float:
 
 def xi_q(hp: HyperParams, act: Activation, q_star: float,
          quad: QuadratureRule | None = None) -> float:
-    """Depth scale of single-input variance convergence."""
+    """Depth scale of single-input variance convergence, from the variance
+    map's slope (sigma_w^2/rho) dE[phi^2]/dq at q* in Stein form."""
     if q_star < 0:
         raise DomainError(f"q_star must be >= 0, got {q_star}")
-    sq = math.sqrt(q_star)
-    curvature = hp.effective_sigma_w_sq * gauss_expect_1d(
-        lambda z: act.dd_phi(sq * z) * act.phi(sq * z), quad
-    )
-    factor = chi1(hp, act, q_star, quad) + curvature
-    return _scale_from_factor(factor)
+    return _scale_from_factor(
+        hp.effective_sigma_w_sq * _spectrum(act, q_star, quad).phi_sq_rate)
 
 
 def correlation_slope(hp: HyperParams, act: Activation, q_star: float,
@@ -357,7 +407,7 @@ def correlation_slope(hp: HyperParams, act: Activation, q_star: float,
     """
     if q_star == 0.0:
         return hp.sigma_w_sq * float(act.d_phi(np.float64(0.0))) ** 2
-    b = _mehler_coefficients(act.d_phi, q_star, quad)
+    b = _spectrum(act, q_star, quad).b
     return hp.sigma_w_sq * _power_series(b * b, c_star)
 
 
@@ -382,7 +432,7 @@ def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
     # F(c) = sum_n weights[n] c^n + sigma_b^2 / q* with weights >= 0, so
     # F(0) >= 0 and F(c) - c is convex: when F(1) < 1 or F'(1) > 1 it has
     # one root in [0, 1), where F' < 1, and [0, 1] always brackets it.
-    weights = hp.sigma_w_sq / q_star * _mehler_coefficients(act.phi, q_star, quad) ** 2
+    weights = hp.sigma_w_sq / q_star * _spectrum(act, q_star, quad).a ** 2
     bias = hp.sigma_b_sq / q_star
     displacement = lambda c: _power_series(weights, c) + bias - c
 
@@ -514,17 +564,20 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
         raise DomainError(f"layers must be >= 1, got {layers}")
     if abs(c0) > 1:
         raise DomainError(f"|c0| must be <= 1, got {c0}")
+    if q0_a < 0 or q0_b < 0:
+        raise DomainError(f"variances must be nonnegative, got q_a={q0_a}, q_b={q0_b}")
 
     q_aa = np.empty(layers + 1)
     q_bb = np.empty(layers + 1)
     c_ab = np.empty(layers + 1)
     q_aa[0], q_bb[0], c_ab[0] = q0_a, q0_b, c0
 
-    symmetric = q0_a == q0_b
     for l in range(layers):
-        q_ab_next = covariance_map(c_ab[l], q_aa[l], q_bb[l], hp, act, quad)
-        q_aa[l + 1] = variance_map(q_aa[l], hp, act, quad)
-        q_bb[l + 1] = q_aa[l + 1] if symmetric else variance_map(q_bb[l], hp, act, quad)
+        spec_a = _spectrum(act, q_aa[l], quad)
+        spec_b = _spectrum(act, q_bb[l], quad)
+        q_ab_next = spec_a.next_covariance(spec_b, c_ab[l], hp)
+        q_aa[l + 1] = spec_a.next_variance(hp)
+        q_bb[l + 1] = spec_b.next_variance(hp)
         c_ab[l + 1] = min(1.0, max(-1.0, q_ab_next / math.sqrt(q_aa[l + 1] * q_bb[l + 1])))
 
     fp = fixed_point(hp, act, q0=q0_a, quad=quad)

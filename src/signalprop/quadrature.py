@@ -26,7 +26,7 @@ from .errors import DomainError, NumericError
 #: Default number of nodes and of Hermite coefficients. Against mpmath, 61
 #: nodes miss E[tanh^2] by 2e-13 at q = 0.45 but by 6e-8 at q = 1.3, and
 #: miss hard_tanh expectations by up to 1e-3 because of its kinks. Exact
-#: expectations are ROADMAP item 4.
+#: expectations are ROADMAP item 3.
 DEFAULT_ORDER = 61
 
 #: Smallest accepted order. One node evaluates every expectation at z = 0
@@ -47,13 +47,14 @@ def default_order() -> int:
         raise DomainError(f"{_ORDER_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights for expectations under the standard Gaussian.
 
     Weights are normalized so that the constant function integrates to 1:
     sum(weights) == 1, sum(weights * nodes) == 0, sum(weights * nodes**2) == 1
-    up to rounding.
+    up to rounding. Rules compare and hash by identity (``rule`` caches one
+    per order), so a rule can key a cache.
     """
 
     order: int
@@ -103,11 +104,15 @@ def _rule(order: int) -> QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def _hermite_matrix(order: int) -> np.ndarray:
+def hermite_matrix(order: int) -> np.ndarray:
     """``w_i h_n(z_i)`` for n < order over the nodes z_i and weights w_i.
 
-    The recurrence h_{n+1} = (z h_n - sqrt(n) h_{n-1}) / sqrt(n + 1) runs
-    on sqrt(w_i) h_n(z_i), an orthogonal matrix, so nothing overflows.
+    Times the values of f at the nodes (:func:`node_values`) it gives
+    a_n = E[f(z) h_n(z)]. On an M-node rule h_0 ... h_{M-1} are discretely
+    orthonormal, so sum(a**2) equals E[f(z)^2] on the rule to rounding
+    (Parseval). The recurrence h_{n+1} = (z h_n - sqrt(n) h_{n-1}) /
+    sqrt(n + 1) runs on sqrt(w_i) h_n(z_i), an orthogonal matrix, so
+    nothing overflows.
     """
     r = _rule(order)
     root_w = np.sqrt(r.weights)
@@ -121,7 +126,7 @@ def _hermite_matrix(order: int) -> np.ndarray:
     return rows
 
 
-def _values(f, quad: QuadratureRule) -> np.ndarray:
+def node_values(f, quad: QuadratureRule) -> np.ndarray:
     """``f`` at the nodes of ``quad``, which must all be finite."""
     values = np.asarray(f(quad.nodes), dtype=float)
     if not np.all(np.isfinite(values)):
@@ -137,15 +142,4 @@ def gauss_expect_1d(f, quad: QuadratureRule | None = None) -> float:
     """
     if quad is None:
         quad = rule()
-    return float(quad.weights @ _values(f, quad))
-
-
-def hermite_coefficients(f, quad: QuadratureRule | None = None) -> np.ndarray:
-    """a_n = E[f(z) h_n(z)] for n < order, from one pass of ``f``.
-
-    On an M-node rule h_0 ... h_{M-1} are discretely orthonormal, so
-    sum(a**2) equals ``gauss_expect_1d(f**2)`` to rounding (Parseval).
-    """
-    if quad is None:
-        quad = rule()
-    return _hermite_matrix(quad.order) @ _values(f, quad)
+    return float(quad.weights @ node_values(f, quad))

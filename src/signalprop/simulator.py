@@ -284,9 +284,11 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
     grad = None if targets is None else np.full_like(gram, np.nan)
 
     for net in range(n_networks):
-        # fs[l] is the effective input to weight layer l: (mask * y) / rho;
-        # f_grams[l] its Gram matrix, drawn[l] the normals and basis of W^l.
-        fs = [inputs if rho == 1.0 else _masks(cfg, net, 0, k) * inputs / rho]
+        # fs[l] is the effective input to weight layer l, masks[l] * y / rho
+        # (masks[l] = 1.0 at rho = 1); f_grams[l] is its Gram matrix and
+        # drawn[l] the normals and basis of W^l.
+        masks = [_masks(cfg, net, 0, k) if rho < 1.0 else 1.0]
+        fs = [masks[0] * inputs / rho]
         f_grams, drawn, zs = [], [], []
         for l in range(depth):
             f_gram = _gram(fs[l])
@@ -302,7 +304,8 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
             drawn.append((normals, basis))
             zs.append(z)
             y = act.phi(z)
-            fs.append(y if rho == 1.0 else _masks(cfg, net, l + 1, k) * y / rho)
+            masks.append(_masks(cfg, net, l + 1, k) if rho < 1.0 else 1.0)
+            fs.append(masks[l + 1] * y / rho)
         if targets is None or len(zs) < depth:
             continue
 
@@ -318,8 +321,7 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
             grad_y, _, _ = _gaussian_rows(cfg, delta, _gram(delta), net, depth,
                                           _ROLE_BACKWARD)
         for l in range(depth - 1, -1, -1):
-            if rho < 1.0:
-                grad_y *= _masks(cfg, net, l + 1, k) / rho
+            grad_y *= masks[l + 1] / rho
             delta = act.d_phi(zs[l]) * grad_y
             delta_gram = _gram(delta)
             grad[net, l] = delta_gram * f_grams[l]

@@ -8,19 +8,22 @@ test_quadrature).
 """
 import dataclasses
 import math
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signalprop.activations import builtin
+from signalprop.activations import Activation, builtin
 from signalprop.errors import (
     ConfigurationError,
     ConvergenceError,
     DegenerateVarianceError,
     DomainError,
     NoFixedPointError,
+    NumericError,
 )
 from signalprop import meanfield as mf
 from signalprop.quadrature import rule
@@ -202,6 +205,20 @@ class TestBracketedRoot:
         assert math.isclose(fine.c_star, 0.9964008131, abs_tol=1e-9)
 
 
+def counting(act):
+    """A copy of ``act`` and a Counter of its passes over node arrays."""
+    passes = Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            passes[name] += np.size(x) > 1
+            return fn(x)
+        return wrapper
+
+    return dataclasses.replace(act, phi=counted("phi", act.phi),
+                               d_phi=counted("d_phi", act.d_phi)), passes
+
+
 class TestCorrelationSolverCost:
     """c* is a root of a power series whose coefficients cost one pass of
     the activation over the quadrature nodes; Brent's steps cost none."""
@@ -210,17 +227,9 @@ class TestCorrelationSolverCost:
     def solve(hp):
         """(c*, Brent evaluations, activation passes) of one c* solve."""
         q_star = mf.fixed_point(hp, TANH).q_star
-        passes = []
-
-        def counted(fn):
-            def wrapper(x):
-                passes.append(np.size(x))
-                return fn(x)
-            return wrapper
-
-        act = dataclasses.replace(TANH, phi=counted(TANH.phi), d_phi=counted(TANH.d_phi))
+        act, passes = counting(TANH)
         c_star, evaluations = mf._solve_c_star_detail(hp, act, q_star)
-        return c_star, evaluations, len(passes)
+        return c_star, evaluations, sum(passes.values())
 
     @pytest.mark.parametrize("sw2,sb2,rho", [
         (1.6, 0.005, 1.0),    # chaotic
@@ -294,6 +303,124 @@ class TestDepthScales:
         assert math.isnan(mf._scale_from_factor(1.2))
         assert mf._scale_from_factor(1.2, allow_growth=True) < 0
         assert math.isnan(mf._scale_from_factor(-0.5))
+
+
+class TestXiQ:
+    """xi_q = -1/log((sigma_w^2/rho) dE[phi^2]/dq) at q*, against oracles
+    that share no arithmetic with the Stein form E[z phi phi'] / sqrt(q)."""
+
+    @pytest.mark.parametrize("sw2,sb2,rho", [
+        (1.1, 0.1, 1.0), (1.5, 0.005, 1.0), (1.3, 0.05, 0.95),
+    ])
+    def test_tanh_rate_against_mpmath_derivative(self, sw2, sb2, rho):
+        hp = mf.HyperParams(sw2, sb2, rho)
+        q_star = mf.fixed_point(hp, TANH).q_star
+        assert q_star <= 0.45  # where the default rule is accurate
+
+        def second(q):
+            root = mpmath.sqrt(q)
+            return mpmath.quad(lambda z: mpmath.tanh(root * z) ** 2 * mpmath.npdf(z),
+                               [-mpmath.inf, 0, mpmath.inf])
+
+        with mpmath.workdps(20):
+            rate = -mpmath.log(hp.effective_sigma_w_sq * mpmath.diff(second, q_star))
+        assert abs(1.0 / mf.xi_q(hp, TANH, q_star) - float(rate)) <= 1e-10
+
+    @pytest.mark.parametrize("sw2,rho", [(0.3, 1.0), (0.5, 0.95), (0.8, 0.9)])
+    def test_linear_factor_is_effective_weight_variance(self, sw2, rho):
+        hp = mf.HyperParams(sw2, 0.05, rho)
+        q_star = mf.fixed_point(hp, LINEAR).q_star
+        factor = math.exp(-1.0 / mf.xi_q(hp, LINEAR, q_star))
+        assert abs(factor - hp.effective_sigma_w_sq) <= 1e-15
+
+    @pytest.mark.parametrize("sw2,sb2,without_kinks", [(0.9, 0.1, 3.61), (1.2, 0.05, math.nan)])
+    def test_hard_tanh_nearer_closed_form(self, sw2, sb2, without_kinks):
+        # E[phi'^2] + E[phi phi''] with hard_tanh's phi'' = 0 drops the
+        # deltas at the kinks and gives ``without_kinks``. The closed form
+        # is dE[phi^2]/dq = erf(a/sqrt(2)) - 2 a pdf(a), a = 1/sqrt(q*).
+        hp = mf.HyperParams(sw2, sb2)
+        q_star = mf.fixed_point(hp, HARD_TANH).q_star
+        a = 1.0 / math.sqrt(q_star)
+        pdf = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+        exact = -1.0 / math.log(sw2 * (math.erf(a / math.sqrt(2.0)) - 2.0 * a * pdf))
+        xi = mf.xi_q(hp, HARD_TANH, q_star)
+        assert math.isfinite(xi)
+        assert math.isnan(without_kinks) or abs(xi - exact) < abs(without_kinks - exact)
+
+    def test_hard_tanh_finite_on_grid(self):
+        for sw2 in np.linspace(0.5, 3.0, 11):
+            for sb2 in (0.05, 0.2):
+                scales = mf.depth_scales(mf.HyperParams(sw2, sb2), HARD_TANH)
+                assert math.isfinite(scales.xi_q) and scales.xi_q > 0
+
+
+def bare(phi):
+    """An activation with only phi, for the Hermite coefficients."""
+    return Activation(name="bare", phi=phi, d_phi=None, dd_phi=None, bounded=False)
+
+
+class TestSpectrum:
+    """One record of phi per (activation object, q, rule) behind every map."""
+
+    @pytest.mark.parametrize("order", [21, 61, 201])
+    @pytest.mark.parametrize("act,q", [
+        (TANH, 0.8),
+        (HARD_TANH, 2.89),
+        (bare(lambda x: np.cos(x) + 0.3 * x ** 3), 1.0),
+    ])
+    def test_discrete_parseval(self, act, q, order):
+        spec = mf.Spectrum(act, q, rule(order))
+        assert spec.a.shape == (order,)
+        assert math.isclose(float(spec.a @ spec.a), spec.phi_sq, rel_tol=1e-14)
+
+    def test_square_of_z(self):
+        # z^2 = He_0 + He_2 and h_2 = He_2 / sqrt(2!).
+        expected = np.zeros(31)
+        expected[0], expected[2] = 1.0, math.sqrt(2.0)
+        np.testing.assert_allclose(mf.Spectrum(bare(lambda x: x ** 2), 1.0, rule(31)).a,
+                                   expected, rtol=0, atol=1e-13)
+
+    def test_nonfinite_integrand_raises(self):
+        with pytest.raises(NumericError):
+            mf.Spectrum(bare(lambda x: np.full_like(x, np.inf)), 1.0, rule(21))
+
+    @pytest.mark.parametrize("sw2,sb2,rho", [
+        (1.7, 0.05, 1.0), (2.5, 0.05, 1.0), (1.3, 0.05, 0.95),
+    ])
+    def test_depth_scales_cost_one_pass_of_phi_and_of_phi_prime(self, sw2, sb2, rho):
+        act, passes = counting(TANH)
+        hp = mf.HyperParams(sw2, sb2, rho)
+        fp = mf.fixed_point(hp, act)
+        mf.depth_scales(hp, act, fp=fp)
+        # one pass of phi per q* iterate, one more at q*
+        assert passes["phi"] <= fp.iterations_q + 1
+        assert passes["d_phi"] <= 1
+
+    @pytest.mark.parametrize("q0_b", [0.8, 0.3])
+    def test_trajectory_passes_once_per_new_variance(self, monkeypatch, q0_b):
+        # The fixed point attached at the end has its own cost (above).
+        monkeypatch.setattr(mf, "fixed_point",
+                            lambda *args, **kwargs: mf.FixedPoint(0.5, 1.0, 0, 0))
+        act, passes = counting(TANH)
+        traj = mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), act, q0_a=0.8,
+                                     q0_b=q0_b, layers=300)
+        # each input's variance converges bit-exactly well before layer 300
+        assert len(set(traj.q_aa)) < 100 and len(set(traj.q_bb)) < 100
+        assert passes["phi"] <= len(set(traj.q_aa[:-1]) | set(traj.q_bb[:-1]))
+        assert passes["d_phi"] == 0
+
+    def test_record_follows_the_order_in_the_environment(self, monkeypatch):
+        hp = mf.HyperParams(2.5, 0.05)
+        monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", "21")
+        coarse = mf.chi1(hp, TANH, 1.0)
+        monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", "61")
+        assert mf.chi1(hp, TANH, 1.0) != coarse
+        assert mf.chi1(hp, TANH, 1.0) == mf.chi1(hp, TANH, 1.0, rule(61))
+
+    def test_activations_sharing_a_name_do_not_share_a_record(self):
+        steeper = dataclasses.replace(TANH, d_phi=lambda x: 2.0 * TANH.d_phi(x))
+        hp = mf.HyperParams(1.7, 0.05)
+        assert mf.chi1(hp, steeper, 0.5) == 4.0 * mf.chi1(hp, TANH, 0.5)
 
 
 class TestCriticalLine:

@@ -2,7 +2,8 @@
 
 Pair expectations E[f(u1) f(u2)] are Mehler series in the Hermite
 coefficients; they are tested through ``meanfield.covariance_map`` at
-sigma_w^2 = 1, sigma_b^2 = 0, where the map is the bare pair moment.
+sigma_w^2 = 1, sigma_b^2 = 0, where the map is the bare pair moment. The
+coefficients themselves are tested with ``meanfield.Spectrum``.
 """
 import math
 
@@ -17,7 +18,6 @@ from signalprop.errors import DomainError, NumericError
 from signalprop.quadrature import (
     QuadratureRule,
     gauss_expect_1d,
-    hermite_coefficients,
     rule,
 )
 
@@ -73,32 +73,6 @@ class TestExpect1d:
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(NumericError):
             gauss_expect_1d(lambda z: np.full_like(z, np.nan), rule(21))
-
-
-class TestHermiteCoefficients:
-    @pytest.mark.parametrize("order", [21, 61, 201])
-    @pytest.mark.parametrize("f", [
-        lambda z: np.tanh(math.sqrt(0.8) * z),
-        lambda z: HARD_TANH.phi(1.7 * z),
-        lambda z: np.cos(z) + 0.3 * z ** 3,
-    ])
-    def test_discrete_parseval(self, f, order):
-        quad = rule(order)
-        a = hermite_coefficients(f, quad)
-        assert a.shape == (order,)
-        second_moment = gauss_expect_1d(lambda z: f(z) ** 2, quad)
-        assert math.isclose(float(a @ a), second_moment, rel_tol=1e-14)
-
-    def test_square_of_z(self):
-        # z^2 = He_0 + He_2 and h_2 = He_2 / sqrt(2!).
-        a = hermite_coefficients(lambda z: z ** 2, rule(31))
-        expected = np.zeros(31)
-        expected[0], expected[2] = 1.0, math.sqrt(2.0)
-        np.testing.assert_allclose(a, expected, rtol=0, atol=1e-13)
-
-    def test_nonfinite_integrand_raises(self):
-        with pytest.raises(NumericError):
-            hermite_coefficients(lambda z: np.full_like(z, np.inf), rule(21))
 
 
 class TestPairExpectation:

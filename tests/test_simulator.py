@@ -170,6 +170,22 @@ class TestKernel:
         assert sorted(drawn) == [0, 1, 2]
         assert all(count <= bound for count in drawn.values())
 
+    def test_backward_pass_reuses_forward_masks(self, monkeypatch):
+        # One mask draw per (network, layer), layers 0 to depth (the
+        # readout's input included); the backward pass draws none.
+        drawn = Counter()
+        original = sim._masks
+
+        def counted(cfg, network, layer, k):
+            drawn[network, layer] += 1
+            return original(cfg, network, layer, k)
+
+        monkeypatch.setattr(sim, "_masks", counted)
+        cfg = make_config(hp=mf.HyperParams(1.7, 0.05, 0.9), depth=6, width=50)
+        x, _ = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
+        sim.backward_gradients(cfg, x, np.eye(10)[0], 3)
+        assert drawn == Counter({(net, l): 1 for net in range(3) for l in range(7)})
+
     @pytest.mark.parametrize("rho", [1.0, 0.9])
     @pytest.mark.parametrize("sw2,depth,expected", [
         # (forward_pair, backward_gradients, backward_covariance)
