@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .meanfield import Trajectory
+from .meanfield import FixedPoint, Trajectory
 
 DEFAULT_FLOOR = 1e-10
 DEFAULT_CEILING = 1e-1
@@ -82,8 +82,8 @@ def fit_exponential(series, floor: float = DEFAULT_FLOOR,
                   window=(start, stop - 1), n_points=n_points, slope=float(slope))
 
 
-def residuals(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute per-layer deviations from the trajectory's fixed points."""
-    q_residuals = np.abs(traj.q_aa - traj.q_star)
-    c_residuals = np.abs(traj.c_ab - traj.c_star)
+def residuals(traj: Trajectory, fp: FixedPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute per-layer deviations of a trajectory from fixed points ``fp``."""
+    q_residuals = np.abs(traj.q_aa - fp.q_star)
+    c_residuals = np.abs(traj.c_ab - fp.c_star)
     return q_residuals, c_residuals

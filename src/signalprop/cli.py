@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -66,13 +67,15 @@ def _parse_rho_list(text: str) -> list[float]:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, simulate: bool = False) -> None:
-    parser.add_argument("--sigma-w-sq", type=_parse_range, default=[1.0],
+    # String defaults go through ``type`` on every parse, so no parsed
+    # namespace shares a list with the (cached) parser.
+    parser.add_argument("--sigma-w-sq", type=_parse_range, default="1.0",
                         metavar="V|MIN:MAX:STEPS",
                         help="weight variance value or sweep range")
-    parser.add_argument("--sigma-b-sq", type=_parse_range, default=[0.05],
+    parser.add_argument("--sigma-b-sq", type=_parse_range, default="0.05",
                         metavar="V|MIN:MAX:STEPS",
                         help="bias variance value or sweep range")
-    parser.add_argument("--rho", type=_parse_rho_list, default=[1.0],
+    parser.add_argument("--rho", type=_parse_rho_list, default="1.0",
                         metavar="R[,R...]",
                         help="comma-separated dropout keep-probabilities")
     parser.add_argument("--activation", default="tanh",
@@ -112,7 +115,10 @@ def _add_common(parser: argparse.ArgumentParser, *, simulate: bool = False) -> N
                                  "(0 = choose from the theoretical scales)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it holds no state
+    between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="signalprop",
         description="Mean-field signal propagation in wide random networks.",
@@ -258,12 +264,14 @@ def _auto_depth(scales: meanfield.DepthScales) -> int:
     return int(min(5000, max(60, math.ceil(30 * max(finite)) + 40)))
 
 
-def measured_depth_scales(hp, act, quad, depth: int, q0: float, c0: float,
-                          floor: float, ceiling: float) -> tuple[float, float]:
-    """Depth scales from exponential fits to trajectory residuals."""
+def measured_depth_scales(hp, act, quad, fp: meanfield.FixedPoint, depth: int,
+                          q0: float, c0: float, floor: float,
+                          ceiling: float) -> tuple[float, float]:
+    """Depth scales from exponential fits to the residuals, against ``fp``,
+    of a trajectory started at (q0, q0, c0)."""
     traj = meanfield.iterate_trajectory(hp, act, q0_a=q0, q0_b=q0, c0=c0,
                                         layers=depth, quad=quad)
-    q_res, c_res = analysis.residuals(traj)
+    q_res, c_res = analysis.residuals(traj, fp)
     try:
         xi_q_meas = analysis.fit_exponential(q_res, floor, ceiling).xi
     except SignalPropError:
@@ -285,7 +293,7 @@ def cmd_depth_scales(args) -> tuple[list[dict], list[str], int]:
         scales = meanfield.depth_scales(hp, act, quad, fp=fp)
         depth = args.depth if args.depth > 0 else _auto_depth(scales)
         xi_q_meas, xi_c_meas = measured_depth_scales(
-            hp, act, quad, depth, args.q0, args.c0,
+            hp, act, quad, fp, depth, args.q0, args.c0,
             args.fit_floor, args.fit_ceiling)
         return [dict(xi_q_theory=scales.xi_q, xi_q_measured=xi_q_meas,
                      xi_c_theory=scales.xi_c, xi_c_measured=xi_c_meas,

@@ -119,8 +119,6 @@ class Trajectory:
     q_aa: np.ndarray
     q_bb: np.ndarray
     c_ab: np.ndarray
-    q_star: float
-    c_star: float
 
 
 class Spectrum:
@@ -558,7 +556,7 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
 
     Tracks q_aa, q_bb, and q_ab layer by layer; the reported correlation
     is q_ab normalized by the same-layer variances (no fixed-point
-    approximation). The fixed points are attached for residual analysis.
+    approximation).
     """
     if layers < 1:
         raise DomainError(f"layers must be >= 1, got {layers}")
@@ -580,6 +578,4 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
         q_bb[l + 1] = spec_b.next_variance(hp)
         c_ab[l + 1] = min(1.0, max(-1.0, q_ab_next / math.sqrt(q_aa[l + 1] * q_bb[l + 1])))
 
-    fp = fixed_point(hp, act, q0=q0_a, quad=quad)
-    return Trajectory(layers=layers, q_aa=q_aa, q_bb=q_bb, c_ab=c_ab,
-                      q_star=fp.q_star, c_star=fp.c_star)
+    return Trajectory(layers=layers, q_aa=q_aa, q_bb=q_bb, c_ab=c_ab)

@@ -14,19 +14,33 @@ matrix of the pre-activations and, given targets, of the weight gradients.
 No N x N weight matrix is drawn. A layer only multiplies k vectors by W,
 and by Gaussian conditioning (Bolthausen; Yang, Tensor Programs, arXiv
 1902.04760) those products are sampled exactly, at any width, from N k
-normals. With F the k x N effective inputs, F = L Q (L L^T = F F^T, Q with
-orthonormal rows) and g k x N standard normals, the forward pass is
-z = sqrt(sigma_w^2/N) L g + b. Given that draw, W = sqrt(sigma_w^2/N) g^T Q
+normals. The biases are one more column of W, on an input coordinate
+sigma_b / sqrt(sigma_w^2/N) shared by every input. With F the k x (N + 1)
+effective inputs so extended, F = L Q (L L^T = F F^T, Q with orthonormal
+rows) and g k x N standard normals, the forward pass is
+z = sqrt(sigma_w^2/N) L g. Given that draw, W = sqrt(sigma_w^2/N) g^T Q
 + W~ (I - Q^T Q) with W~ independent, so the ``tied`` backward pass is
-delta W = sqrt(sigma_w^2/N) (delta g^T) Q + delta W~ (I - Q^T Q), and the
-``independent`` one is the fresh term delta W~ alone, drawn like the
-forward pass from delta's Gram matrix. Only the softmax readout (C x N,
-C = 10 classes) is a dense draw.
+delta W = sqrt(sigma_w^2/N) (delta g^T) Q + delta W~ (I - Q^T Q) without
+its bias coordinate, and the ``independent`` one is the fresh term
+delta W~ alone, drawn like the forward pass from delta's Gram matrix. Only
+the softmax readout (C x N, C = 10 classes, and its C biases) is a dense
+draw.
 
-Randomness comes from a counter-based generator (Philox) with a dedicated
-substream per (network, layer, role), so results are bit-reproducible and
-realizations can be evaluated independently in any order. Memory is
-O(L * N * k).
+Networks run in blocks: every array of a block is (k, B, N), one slice per
+network, and each network's arithmetic is its own (a network is never
+summed with another), so results depend neither on the block size nor on
+how many networks run.
+
+Randomness comes from a counter-based generator (Philox; Salmon et al.,
+SC 2011) with one stream per (layer, role, input row), keyed by that
+position and independent of the network. Each block draws its B networks'
+values from the stream in turn, so network i always gets the i-th chunk
+of every stream: a run of n networks reproduces the first n networks of
+any longer run, and row 0 of a pair gets the draws it would get alone.
+The streams are set up once per run, not per network, and a network that
+stops early still consumes its draws. Memory is bounded by a fixed byte
+budget per block (``_BLOCK_BYTES``), not by the depth times the number of
+networks.
 """
 from __future__ import annotations
 
@@ -39,18 +53,23 @@ from .activations import Activation, builtin
 from .errors import ConfigurationError, DomainError
 from .meanfield import HyperParams
 
-_ROLE_WEIGHTS = 0
-_ROLE_BIASES = 1
-_ROLE_MASK_A = 2
-_ROLE_MASK_B = 3
+# Stream roles. The inputs' stream is seeded from the spawn key
+# (0, 0, _ROLE_INPUT); the network streams are keyed by position.
+_ROLE_WEIGHTS = 1
+_ROLE_BIASES = 2
+_ROLE_MASK = 3
 _ROLE_BACKWARD = 4
 _ROLE_INPUT = 5
 _ROLE_READOUT = 6
-_MASK_ROLES = (_ROLE_MASK_A, _ROLE_MASK_B)
 
 #: A residual below this fraction of its row's norm is dropped: its square
 #: is below the rounding of a float64 Gram entry.
 _RANK_RTOL = math.sqrt(np.finfo(float).eps)
+
+#: Bytes a block may keep for the backward pass: per network and layer, up
+#: to four k x N float64 arrays (pre-activations, forward normals, basis,
+#: dropout masks).
+_BLOCK_BYTES = 32 * 2 ** 20
 
 BACKPROP_MODES = ("tied", "independent")
 
@@ -127,92 +146,178 @@ def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return samples.mean(axis=0), samples.std(axis=0, ddof=ddof) / math.sqrt(n)
 
 
-def _substream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
+class _Streams:
+    """Philox streams keyed by position (Salmon et al., SC 2011).
 
-
-def _normals(cfg: NetworkConfig, network: int, layer: int, role: int,
-             shape: tuple[int, int]) -> np.ndarray:
-    """Standard normals of one (network, layer, role) substream.
-
-    Row i of a k x N block is the same for every k >= i + 1.
+    Stream (layer, role, row) is Philox4x64 whose key is a word of the seed
+    and the packed (layer, role, row), with its counter starting at 0. One
+    bit generator serves every stream: a draw loads the stream's saved
+    state and saves it back, about a third of the cost of building one.
     """
-    return _substream(cfg.seed, network, layer, role).standard_normal(shape)
+
+    def __init__(self, seed: int):
+        self._word = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+        self._bits = np.random.Philox(counter=0, key=0)
+        self._generator = np.random.Generator(self._bits)
+        self._states = {}
+
+    def _start(self, layer: int, role: int, row: int) -> dict:
+        position = np.uint64((layer << 16) | (role << 8) | row)
+        zeros = np.zeros(4, np.uint64)
+        return {"bit_generator": "Philox",
+                "state": {"counter": zeros, "key": np.array([self._word, position])},
+                "buffer": zeros.copy(), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def draw(self, key: tuple[int, int, int], method: str, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the next values of stream ``key`` from the
+        generator method ``method`` (``standard_normal`` or ``random``)."""
+        state = self._states.get(key)
+        self._bits.state = self._start(*key) if state is None else state
+        getattr(self._generator, method)(out=out)
+        self._states[key] = self._bits.state
+        return out
 
 
-def _biases(cfg: NetworkConfig, network: int, layer: int, size=None) -> np.ndarray:
-    rng = _substream(cfg.seed, network, layer, _ROLE_BIASES)
-    scale = math.sqrt(cfg.hp.sigma_b_sq)
-    return rng.normal(0.0, scale, size=cfg.width if size is None else size)
+def _normals(streams: _Streams, layer: int, role: int, row: int,
+             out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the next standard normals of stream (layer, role, row).
 
-def _masks(cfg: NetworkConfig, network: int, layer: int, k: int) -> np.ndarray:
-    """Dropout keep-masks of the first k inputs at one layer, k x N."""
-    return np.stack([
-        _substream(cfg.seed, network, layer, role).random(cfg.width) < cfg.hp.rho
-        for role in _MASK_ROLES[:k]
-    ]).astype(float)
-
-
-def _matvecs(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``w @ row`` for each row of ``rows``.
-
-    One matrix-vector product per input keeps each input's arithmetic
-    bit-identical to a run with that input alone, whatever k is.
+    ``out.shape[0]`` is the number of networks in the block; each takes
+    the next ``out.shape[1:]`` values of the stream.
     """
-    return np.stack([w @ row for row in rows])
+    return streams.draw((layer, role, row), "standard_normal", out)
+
+
+def _masks(streams: _Streams, layer: int, row: int, shape: tuple[int, int],
+           rho: float) -> np.ndarray:
+    """Dropout keep-masks over rho (0 or 1/rho) of one input row at one
+    layer, ``shape`` = (networks in the block, N)."""
+    uniforms = streams.draw((layer, _ROLE_MASK, row), "random", np.empty(shape))
+    return (uniforms < rho) / rho
+
+
+def _block_size(cfg: NetworkConfig, k: int, n_networks: int) -> int:
+    """Networks per block: as many as keep the backward pass's stored
+    arrays within ``_BLOCK_BYTES``, at least one.
+
+    Forward-only runs store nothing across layers but use the same size:
+    for 200 networks of depth 60 at N = 1000 and k = 2 it gives 8 networks
+    per block, which ran faster than 2, 4, 6, 12 or 200 on a 2-core VM.
+    """
+    per_network = 4 * k * cfg.width * cfg.depth * np.dtype(float).itemsize
+    return max(1, min(n_networks, _BLOCK_BYTES // per_network))
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-network dot products of every row of ``a`` with every row of
+    ``b``, both (k, B, N): (k, k, B).
+
+    Each entry is numpy's pairwise sum of the products, so it does not
+    depend on k or B the way a blocked BLAS product does.
+    """
+    return (a[:, None] * b[None, :]).sum(axis=-1)
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
-    """Dot products of every pair of rows, k x k.
+    """Per-network Gram matrices of (k, B, N) rows: (k, k, B)."""
+    return _dots(rows, rows)
 
-    Each entry is numpy's pairwise sum of the products, so it does not
-    depend on k the way a blocked BLAS product (``rows @ rows.T``) does.
+
+def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row i of the result is sum_j coef[i, j] rows[j], per network:
+    (k, k, B) and (k, B, N) to (k, B, N)."""
+    out = coef[:, 0, :, None] * rows[0]
+    for j in range(1, len(rows)):
+        out += coef[:, j, :, None] * rows[j]
+    return out
+
+
+def _matvecs(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``w[b] @ rows[i, b]`` for w (B, R, N) and rows (k, B, N): (k, B, R).
+
+    One matrix-vector product per row keeps each row's arithmetic
+    bit-identical to a run with that row alone, whatever k is.
     """
-    return (rows[:, None, :] * rows[None, :, :]).sum(axis=2)
+    return np.stack([(w @ row[..., None])[..., 0] for row in rows])
 
 
-def _factor(rows: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split k <= 2 rows with Gram matrix ``gram`` as ``low @ basis``.
+def _reciprocal(values: np.ndarray) -> np.ndarray:
+    """1 / values where values > 0, else 0."""
+    return np.divide(1.0, values, out=np.zeros_like(values), where=values > 0)
 
-    ``low`` is lower triangular (``low @ low.T == gram`` to rounding) and
-    ``basis`` has orthonormal rows, except that a row which is zero, or whose
-    residual against the row above is below ``_RANK_RTOL`` of its norm, gets
-    a zero diagonal and a zero basis row. The coefficient on the row above
-    is a ratio of Gram entries, so identical rows get identical rows of
-    ``low``; row 0 of ``low`` does not depend on k.
+
+def _factor(rows: np.ndarray, gram: np.ndarray, const: float = 0.0,
+            with_basis: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Split each network's k <= 2 rows (k, B, L), each extended by one more
+    coordinate ``const``, as ``low @ basis``, in closed form. ``gram``
+    (k, k, B) is the Gram matrix of the rows without that coordinate;
+    ``basis`` is None unless ``with_basis``.
+
+    ``low`` (k, k, B) is lower triangular (``low @ low.T`` is the extended
+    rows' Gram matrix to rounding) and ``basis`` (k, B, L + 1) has
+    orthonormal rows, except that a row which is zero, or whose residual
+    against the row above is below ``_RANK_RTOL`` of its norm, gets a zero
+    diagonal and a zero basis row. The coefficient on the row above is a
+    ratio of Gram entries, so identical rows get identical rows of ``low``;
+    row 0 of ``low`` does not depend on k.
     """
-    low = np.zeros((len(rows), len(rows)))
-    basis = np.zeros_like(rows)
-    low[0, 0] = math.sqrt(gram[0, 0])
-    if low[0, 0] > 0:
-        basis[0] = rows[0] / low[0, 0]
+    length = rows.shape[-1]
+    gram = gram + const * const
+    low = np.zeros(gram.shape)
+    basis = np.empty(rows.shape[:-1] + (length + 1,)) if with_basis else None
+    low[0, 0] = np.sqrt(gram[0, 0])
+    if with_basis:
+        inverse = _reciprocal(low[0, 0])
+        np.multiply(rows[0], inverse[:, None], out=basis[0, :, :length])
+        basis[0, :, length] = const * inverse
     if len(rows) == 2:
-        ratio = gram[1, 0] / gram[0, 0] if low[0, 0] > 0 else 0.0
-        resid = rows[1] - ratio * rows[0]
-        norm_sq = float(resid @ resid)
+        ratio = np.divide(gram[1, 0], gram[0, 0], out=np.zeros_like(low[0, 0]),
+                          where=low[0, 0] > 0)
+        resid = rows[1] - ratio[:, None] * rows[0]
+        resid_const = const * (1.0 - ratio)
+        norm_sq = (resid * resid).sum(axis=-1) + resid_const * resid_const
         low[1, 0] = ratio * low[0, 0]
-        if norm_sq > _RANK_RTOL ** 2 * gram[1, 1]:
-            low[1, 1] = math.sqrt(norm_sq)
-            basis[1] = resid / low[1, 1]
+        low[1, 1] = np.where(norm_sq > _RANK_RTOL ** 2 * gram[1, 1], np.sqrt(norm_sq), 0.0)
+        if with_basis:
+            inverse = _reciprocal(low[1, 1])
+            np.multiply(resid, inverse[:, None], out=basis[1, :, :length])
+            basis[1, :, length] = resid_const * inverse
     return low, basis
 
 
-def _gaussian_rows(cfg: NetworkConfig, rows: np.ndarray, gram: np.ndarray,
-                   network: int, layer: int, role: int):
-    """Draw ``rows @ W.T`` (or ``rows @ W``, the same law) for W with i.i.d.
-    N(0, sigma_w^2/N) entries, from the k x N normals g of one substream.
+def _gaussian_rows(streams: _Streams, rows: np.ndarray, gram: np.ndarray,
+                   layer: int, role: int, scale: float, width: int,
+                   const: float = 0.0, with_basis: bool = False):
+    """Draw each network's ``rows @ W.T + const * w`` (or ``rows @ W``, the
+    same law at ``const`` = 0) for W (width x L) and w (width) with i.i.d.
+    N(0, scale^2) entries, from k x width normals g per network.
 
-    Its columns are i.i.d. N(0, sigma_w^2/N gram), so the draw is
-    sqrt(sigma_w^2/N) low @ g (:func:`_factor`). Returns it with g and
-    ``basis``, since W @ basis.T = sqrt(sigma_w^2/N) g.T is what the tied
-    backward pass conditions on. The scale multiplies ``low``, not
-    ``gram``, so a large sigma_w^2 overflows no earlier than the draw.
+    Its columns are i.i.d. N(0, scale^2 (gram + const^2)), the law of the
+    rows extended by the coordinate ``const`` times W extended by the
+    column w, so the draw is scale low @ g (:func:`_factor`). Returns it
+    with g and, if ``with_basis``, the extended rows' ``basis``, since
+    [W, w] @ basis.T = scale g.T is what the tied backward pass conditions
+    on. The scale multiplies ``low``, not ``gram``, so a large sigma_w^2
+    overflows no earlier than the draw.
     """
-    low, basis = _factor(rows, gram)
-    normals = _normals(cfg, network, layer, role, (len(rows), cfg.width))
-    return math.sqrt(cfg.hp.sigma_w_sq / cfg.width) * low @ normals, normals, basis
+    low, basis = _factor(rows, gram, const, with_basis)
+    normals = np.empty((len(rows), rows.shape[1], width))
+    for row, out in enumerate(normals):
+        _normals(streams, layer, role, row, out)
+    return _combine(scale * low, normals), normals, basis
+
+
+def _tied_products(fresh: np.ndarray, delta: np.ndarray, normals: np.ndarray,
+                   basis: np.ndarray, scale: float) -> np.ndarray:
+    """``delta @ [W, w]`` for the layer whose forward draw gave ``normals``
+    and the extended ``basis`` (:func:`_gaussian_rows`), with [W, w]
+    sampled given that draw: scale (delta g^T) Q + fresh (I - Q^T Q), where
+    ``fresh`` is ``delta @ W~`` for an independent W~ of the extended shape.
+
+    So for every delta, ``result . (f_i, const) == delta . z_i``. The last
+    coordinate is the bias column's; the backward pass drops it.
+    """
+    return fresh + _combine(scale * _dots(delta, normals) - _dots(fresh, basis), basis)
 
 
 def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
@@ -242,7 +347,8 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
     cos_theta = min(1.0, max(-1.0, cos_theta))
     sin_theta = math.sqrt(1.0 - cos_theta * cos_theta)
 
-    rng = _substream(cfg.seed, 0, 0, _ROLE_INPUT)
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0, _ROLE_INPUT))))
     v1 = rng.standard_normal(n)
     v2 = rng.standard_normal(n)
     e1 = v1 / np.linalg.norm(v1)
@@ -256,10 +362,10 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
 
 def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
                targets: np.ndarray | None = None):
-    """Run the k rows of ``inputs`` (k x N) through sampled networks.
+    """Run the k <= 2 rows of ``inputs`` (k x N) through sampled networks.
 
-    Row i uses the dropout masks of role ``_MASK_ROLES[i]``; all rows share
-    each layer's weights and biases. Returns ``(gram, grad)``, both
+    Each row has its own dropout masks; all rows share each layer's
+    weights and biases. Returns ``(gram, grad)``, both
     (n_networks, depth, k, k): ``gram[net, l]`` is the Gram matrix of the
     layer-l pre-activations divided by N. A network stops at the first
     layer whose input or pre-activation Gram matrix is not finite and
@@ -276,62 +382,101 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
     """
     if n_networks < 1:
         raise DomainError(f"n_networks must be >= 1, got {n_networks}")
-    act = cfg.resolve_activation()
-    depth, rho, k = cfg.depth, cfg.hp.rho, len(inputs)
-    tied = cfg.backprop_weights == "tied"
-    scale = math.sqrt(cfg.hp.sigma_w_sq / cfg.width)
-    gram = np.full((n_networks, depth, k, k), np.nan)
+    streams = _Streams(cfg.seed)
+    k = len(inputs)
+    gram = np.full((n_networks, cfg.depth, k, k), np.nan)
     grad = None if targets is None else np.full_like(gram, np.nan)
-
-    for net in range(n_networks):
-        # fs[l] is the effective input to weight layer l, masks[l] * y / rho
-        # (masks[l] = 1.0 at rho = 1); f_grams[l] is its Gram matrix and
-        # drawn[l] the normals and basis of W^l.
-        masks = [_masks(cfg, net, 0, k) if rho < 1.0 else 1.0]
-        fs = [masks[0] * inputs / rho]
-        f_grams, drawn, zs = [], [], []
-        for l in range(depth):
-            f_gram = _gram(fs[l])
-            if not np.all(np.isfinite(f_gram)):
-                break
-            u, normals, basis = _gaussian_rows(cfg, fs[l], f_gram, net, l, _ROLE_WEIGHTS)
-            z = u + _biases(cfg, net, l)
-            moments = _gram(z) / cfg.width
-            if not np.all(np.isfinite(moments)):
-                break
-            gram[net, l] = moments
-            f_grams.append(f_gram)
-            drawn.append((normals, basis))
-            zs.append(z)
-            y = act.phi(z)
-            masks.append(_masks(cfg, net, l + 1, k) if rho < 1.0 else 1.0)
-            fs.append(masks[l + 1] * y / rho)
-        if targets is None or len(zs) < depth:
-            continue
-
-        n_classes = targets.shape[1]
-        w_up = scale * _normals(cfg, net, depth, _ROLE_READOUT, (n_classes, cfg.width))
-        logits = _matvecs(w_up, fs[depth]) + _biases(cfg, net, depth, size=n_classes)
-        p = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
-        delta = p - targets
-        if tied:
-            grad_y = _matvecs(w_up.T, delta)
-        else:
-            grad_y, _, _ = _gaussian_rows(cfg, delta, _gram(delta), net, depth,
-                                          _ROLE_BACKWARD)
-        for l in range(depth - 1, -1, -1):
-            grad_y *= masks[l + 1] / rho
-            delta = act.d_phi(zs[l]) * grad_y
-            delta_gram = _gram(delta)
-            grad[net, l] = delta_gram * f_grams[l]
-            if l == 0:
-                break
-            grad_y, _, _ = _gaussian_rows(cfg, delta, delta_gram, net, l, _ROLE_BACKWARD)
-            if tied:
-                normals, basis = drawn[l]
-                grad_y += (scale * (delta @ normals.T) - grad_y @ basis.T) @ basis
+    size = _block_size(cfg, k, n_networks)
+    for start in range(0, n_networks, size):
+        block = slice(start, start + size)
+        _run_block(cfg, streams, inputs, targets, gram[block],
+                   None if grad is None else grad[block])
     return gram, grad
+
+
+def _run_block(cfg: NetworkConfig, streams: _Streams, inputs: np.ndarray,
+               targets: np.ndarray | None, gram: np.ndarray,
+               grad: np.ndarray | None) -> None:
+    """Fill ``gram`` and ``grad`` (B, depth, k, k) for the next B networks.
+
+    Every array is (k, B, N). A network that stops keeps consuming its
+    draws, with its rows zeroed, so every stream stays aligned.
+    """
+    act = cfg.resolve_activation()
+    depth, rho, n = cfg.depth, cfg.hp.rho, cfg.width
+    b, k = len(gram), len(inputs)
+    tied = cfg.backprop_weights == "tied"
+    keep_basis = tied and targets is not None
+    scale = math.sqrt(cfg.hp.sigma_w_sq / n)
+    bias_scale = math.sqrt(cfg.hp.sigma_b_sq)
+    # A hidden layer's biases are one more column of W, on an input
+    # coordinate bias_scale / scale that every row shares.
+    const = bias_scale / scale
+
+    def masks(layer):
+        return np.stack([_masks(streams, layer, row, (b, n), rho) for row in range(k)])
+
+    # f is the effective input to weight layer l, masks[l] * y (no masks at
+    # rho = 1). The backward pass reads f_grams[l], its Gram matrix, and
+    # kept[l]: the pre-activations of W^l, the masks of layer l + 1 (None at
+    # rho = 1), and in tied mode the normals and the extended basis of W^l.
+    dropout = rho < 1.0
+    alive = np.ones(b, dtype=bool)
+    f = np.broadcast_to(inputs[:, None, :], (k, b, n)) * (masks(0) if dropout else 1.0)
+    keep = None
+    f_grams, kept = [], []
+    for l in range(depth):
+        f_gram = _gram(f)
+        alive &= np.isfinite(f_gram).all(axis=(0, 1))
+        if not alive.all():
+            f[:, ~alive] = 0.0
+            f_gram[..., ~alive] = 0.0
+        z, normals, basis = _gaussian_rows(streams, f, f_gram, l, _ROLE_WEIGHTS, scale, n,
+                                           const, keep_basis)
+        moments = _gram(z) / n
+        alive &= np.isfinite(moments).all(axis=(0, 1))
+        gram[:, l] = np.where(alive, moments, np.nan).transpose(2, 0, 1)
+        if not alive.all():
+            z[:, ~alive] = 0.0
+        f = act.phi(z)
+        if dropout:
+            keep = masks(l + 1)
+            f = f * keep  # not in place: linear's phi returns z itself
+        if targets is not None:
+            f_grams.append(f_gram)
+            kept.append((z, keep, normals if tied else None, basis))
+    if targets is None:
+        return
+
+    n_classes = targets.shape[1]
+    w_up = scale * _normals(streams, depth, _ROLE_READOUT, 0, np.empty((b, n_classes, n)))
+    logits = _matvecs(w_up, f) + bias_scale * _normals(
+        streams, depth, _ROLE_BIASES, 0, np.empty((b, n_classes)))
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    delta = p - targets[:, None, :]
+    if tied:
+        grad_y = _matvecs(w_up.transpose(0, 2, 1), delta)
+    else:
+        grad_y, _, _ = _gaussian_rows(streams, delta, _gram(delta), depth,
+                                      _ROLE_BACKWARD, scale, n)
+    for l in range(depth - 1, -1, -1):
+        z, keep, normals, basis = kept[l]
+        if keep is not None:
+            grad_y *= keep
+        delta = act.d_phi(z) * grad_y
+        delta_gram = _gram(delta)
+        grad[:, l] = (delta_gram * f_grams[l]).transpose(2, 0, 1)
+        if l == 0:
+            break
+        if not tied:
+            grad_y, _, _ = _gaussian_rows(streams, delta, delta_gram, l, _ROLE_BACKWARD,
+                                          scale, n)
+            continue
+        fresh, _, _ = _gaussian_rows(streams, delta, delta_gram, l, _ROLE_BACKWARD,
+                                     scale, n + 1)
+        grad_y = _tied_products(fresh, delta, normals, basis, scale)[..., :n]
+    grad[~alive] = np.nan
 
 
 def _truncation(valid: np.ndarray) -> int | None:

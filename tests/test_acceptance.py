@@ -22,7 +22,7 @@ GRID_SW2 = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 GRID_SB2 = (0.01, 0.05, 0.1, 0.3)
 
 
-def measured_scales(hp, xi_q_theory, xi_c_theory, c_star):
+def measured_scales(hp, xi_q_theory, xi_c_theory, fp):
     """Residual-fit depth scales using the protocol behind Fig. 2.
 
     The variance scale is fit from a fresh start q0 = 0.8; the
@@ -39,11 +39,11 @@ def measured_scales(hp, xi_q_theory, xi_c_theory, c_star):
     q_res = np.abs(np.array(q_path) - q_star)
     xi_q_meas = analysis.fit_exponential(q_res, floor=1e-10, ceiling=1e-2).xi
 
-    c0 = 0.6 if abs(c_star - 0.6) > 1e-3 else 0.3
+    c0 = 0.6 if abs(fp.c_star - 0.6) > 1e-3 else 0.3
     depth_c = int(min(4000, 30 * xi_c_theory + 60))
     traj = mf.iterate_trajectory(hp, TANH, q0_a=q_star, q0_b=q_star, c0=c0,
                                  layers=depth_c)
-    _, c_res = analysis.residuals(traj)
+    _, c_res = analysis.residuals(traj, fp)
     xi_c_meas = analysis.fit_exponential(c_res, floor=1e-10, ceiling=1e-2).xi
     return xi_q_meas, xi_c_meas
 
@@ -70,7 +70,7 @@ class TestCriterion2:
                 fp = mf.fixed_point(hp, TANH)
                 scales = mf.depth_scales(hp, TANH, fp=fp)
                 xi_q_meas, xi_c_meas = measured_scales(
-                    hp, scales.xi_q, scales.xi_c, fp.c_star)
+                    hp, scales.xi_q, scales.xi_c, fp)
                 err_q = abs(xi_q_meas - scales.xi_q) / scales.xi_q
                 err_c = abs(xi_c_meas - scales.xi_c) / scales.xi_c
                 worst = max(worst, err_q, err_c)

@@ -66,7 +66,7 @@ class TestResiduals:
     def test_against_trajectory(self):
         hp = mf.HyperParams(1.7, 0.05)
         traj = mf.iterate_trajectory(hp, builtin("tanh"), layers=100)
-        q_res, c_res = analysis.residuals(traj)
+        q_res, c_res = analysis.residuals(traj, mf.fixed_point(hp, builtin("tanh")))
         assert q_res.shape == traj.q_aa.shape
         assert np.all(q_res >= 0)
         # Residuals shrink toward the fixed point.
@@ -77,7 +77,7 @@ class TestResiduals:
         hp = mf.HyperParams(1.7, 0.05)
         act = builtin("tanh")
         traj = mf.iterate_trajectory(hp, act, layers=120)
-        q_res, _ = analysis.residuals(traj)
+        q_res, _ = analysis.residuals(traj, mf.fixed_point(hp, act))
         fit = analysis.fit_exponential(q_res, ceiling=1e-2)
         theory = mf.depth_scales(hp, act).xi_q
         assert math.isclose(fit.xi, theory, rel_tol=0.02)

@@ -207,6 +207,48 @@ class TestSimulate:
         assert first != second
 
 
+class TestParserReuse:
+    # (argv, SIGNALPROP_QUAD_ORDER): an argparse error, defaults right after
+    # explicit values, and an order changed between calls.
+    SEQUENCE = [
+        (["phase-diagram", "--sigma-w-sq", "0.5:1.5:3", "--rho", "1,0.9"], None),
+        (["phase-diagram", "--sigma-w-sq", "1:2"], None),
+        (["phase-diagram"], None),
+        (["phase-diagram", "--format", "json"], "31"),
+        (["simulate", "forward", "--depth", "2", "--width", "20", "--networks", "2"],
+         None),
+    ]
+
+    def test_repeated_calls_match_fresh_processes(self, monkeypatch, capsys):
+        # The parser is built once per process; each call must still print
+        # what a fresh interpreter prints, byte for byte.
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("SIGNALPROP_QUAD_ORDER", raising=False)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        fresh = []
+        for argv, order in self.SEQUENCE:
+            env = dict(os.environ, PYTHONPATH=src)
+            if order is not None:
+                env["SIGNALPROP_QUAD_ORDER"] = order
+            result = subprocess.run([sys.executable, "-m", "signalprop.cli", *argv],
+                                    capture_output=True, env=env)
+            fresh.append((result.returncode, result.stdout.decode(),
+                          result.stderr.decode()))
+        for _ in range(2):
+            for (argv, order), expected in zip(self.SEQUENCE, fresh):
+                if order is None:
+                    monkeypatch.delenv("SIGNALPROP_QUAD_ORDER", raising=False)
+                else:
+                    monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", order)
+                try:
+                    status = cli.main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+                captured = capsys.readouterr()
+                assert (status, captured.out, captured.err) == expected, argv
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
+
+
 class TestOutput:
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "table.csv"

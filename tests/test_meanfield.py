@@ -397,10 +397,7 @@ class TestSpectrum:
         assert passes["d_phi"] <= 1
 
     @pytest.mark.parametrize("q0_b", [0.8, 0.3])
-    def test_trajectory_passes_once_per_new_variance(self, monkeypatch, q0_b):
-        # The fixed point attached at the end has its own cost (above).
-        monkeypatch.setattr(mf, "fixed_point",
-                            lambda *args, **kwargs: mf.FixedPoint(0.5, 1.0, 0, 0))
+    def test_trajectory_passes_once_per_new_variance(self, q0_b):
         act, passes = counting(TANH)
         traj = mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), act, q0_a=0.8,
                                      q0_b=q0_b, layers=300)
@@ -455,8 +452,9 @@ class TestTrajectory:
     def test_converges_to_fixed_point(self):
         hp = mf.HyperParams(1.7, 0.05)
         traj = mf.iterate_trajectory(hp, TANH, layers=400)
-        assert math.isclose(traj.q_aa[-1], traj.q_star, abs_tol=1e-10)
-        assert math.isclose(traj.c_ab[-1], traj.c_star, abs_tol=1e-2)
+        fp = mf.fixed_point(hp, TANH)
+        assert math.isclose(traj.q_aa[-1], fp.q_star, abs_tol=1e-10)
+        assert math.isclose(traj.c_ab[-1], fp.c_star, abs_tol=1e-2)
 
     def test_symmetric_inputs_stay_symmetric(self):
         hp = mf.HyperParams(2.5, 0.05)

@@ -1,5 +1,6 @@
 """Finite-width Monte Carlo simulator: reproducibility, moments, gradients."""
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -149,42 +150,48 @@ class TestGradients:
 class TestKernel:
     @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
     def test_normals_drawn_per_network(self, monkeypatch, mode):
-        # k x N normals per layer and pass instead of an N x N matrix; the
-        # C x N readout is the only dense draw.
-        drawn = Counter()
+        # k x N normals per network, layer and pass instead of an N x N
+        # matrix; the C x N readout is the only dense draw. Every stream
+        # hands out exactly one chunk per network, across blocks of 2.
+        drawn, chunks, biases = Counter(), Counter(), Counter()
         original = sim._normals
 
-        def counted(cfg, network, layer, role, shape):
-            drawn[network] += shape[0] * shape[1]
-            assert shape[0] <= 10 and shape[1] == cfg.width
-            return original(cfg, network, layer, role, shape)
+        def counted(streams, layer, role, row, out):
+            per_network = math.prod(out.shape[1:])
+            assert per_network <= 10 * cfg.width < cfg.width ** 2
+            chunks[layer, role, row] += out.shape[0]
+            target = biases if role == sim._ROLE_BIASES else drawn
+            target[role] += out.size
+            return original(streams, layer, role, row, out)
 
         monkeypatch.setattr(sim, "_normals", counted)
+        monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n_networks: 2)
         cfg = make_config(depth=6, width=200, backprop_weights=mode)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         target = np.eye(10)[0]
-        sim.backward_covariance(cfg, x_a, x_b, (target, target), 3)
-        k, n = 2, cfg.width
-        bound = 2 * cfg.depth * n * k + 10 * n
-        assert bound < n * n
-        assert sorted(drawn) == [0, 1, 2]
-        assert all(count <= bound for count in drawn.values())
+        n_networks, k, n = 3, 2, cfg.width
+        sim.backward_covariance(cfg, x_a, x_b, (target, target), n_networks)
+        assert set(chunks.values()) == {n_networks}
+        assert sum(drawn.values()) <= n_networks * (2 * cfg.depth * n * k + 10 * n)
+        # hidden biases are drawn with the weights; the readout's 10 apart
+        assert sum(biases.values()) == n_networks * 10
 
     def test_backward_pass_reuses_forward_masks(self, monkeypatch):
-        # One mask draw per (network, layer), layers 0 to depth (the
+        # One mask draw per (layer, row) and network, layers 0 to depth (the
         # readout's input included); the backward pass draws none.
         drawn = Counter()
         original = sim._masks
 
-        def counted(cfg, network, layer, k):
-            drawn[network, layer] += 1
-            return original(cfg, network, layer, k)
+        def counted(streams, layer, row, shape, rho):
+            drawn[layer, row] += shape[0]
+            return original(streams, layer, row, shape, rho)
 
         monkeypatch.setattr(sim, "_masks", counted)
+        monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n_networks: 2)
         cfg = make_config(hp=mf.HyperParams(1.7, 0.05, 0.9), depth=6, width=50)
         x, _ = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         sim.backward_gradients(cfg, x, np.eye(10)[0], 3)
-        assert drawn == Counter({(net, l): 1 for net in range(3) for l in range(7)})
+        assert drawn == Counter({(l, 0): 3 for l in range(7)})
 
     @pytest.mark.parametrize("rho", [1.0, 0.9])
     @pytest.mark.parametrize("sw2,depth,expected", [
@@ -206,6 +213,27 @@ class TestKernel:
         assert len(emp.q_aa_hat) == expected[0]
         assert norms.log_norm_sq.shape == (3, 0) and cov.dot.shape == (3, 0)
         assert np.all(np.isfinite(emp.q_aa_hat)) and np.all(np.isfinite(emp.c_ab_hat))
+
+    @pytest.mark.parametrize("rows", ["distinct", "identical"])
+    def test_tied_backward_reproduces_the_forward_products(self, rows):
+        # The tied backward matrix, biases as its last column, is one the
+        # forward draw could have come from: (delta @ [W, w]) . (f_i, c)
+        # equals delta . z_i for any delta.
+        rng = np.random.default_rng(3)
+        k, b, n, scale, const = 2, 3, 5, 0.7, 1.3
+        f = rng.standard_normal((k, b, n))
+        if rows == "identical":
+            f[1] = f[0]
+        streams = sim._Streams(0)
+        z, normals, basis = sim._gaussian_rows(streams, f, sim._gram(f), 0,
+                                               sim._ROLE_WEIGHTS, scale, n, const, True)
+        delta = rng.standard_normal((k, b, n))
+        fresh, _, _ = sim._gaussian_rows(streams, delta, sim._gram(delta), 1,
+                                         sim._ROLE_BACKWARD, scale, n + 1)
+        products = sim._tied_products(fresh, delta, normals, basis, scale)
+        extended = np.concatenate([f, np.full((k, b, 1), const)], axis=-1)
+        np.testing.assert_allclose(sim._dots(products, extended), sim._dots(delta, z),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_each_input_of_a_pair_runs_as_if_alone(self):
         # Sharing a network changes no bit of either input's forward
@@ -246,6 +274,50 @@ class TestKernel:
         assert np.all(np.isfinite(gram)) and np.all(np.isfinite(grad))
         assert np.any(grad[:, :, 0, 0] == 0) and np.any(grad[:, :, 1, 1] == 0)
         assert np.all(grad[:, :, 0, 0] >= 0) and np.all(grad[:, :, 1, 1] >= 0)
+
+
+class TestBlocks:
+    @staticmethod
+    def pair_run(monkeypatch, mode, n_networks, block=None):
+        if block is not None:
+            monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n: block)
+        cfg = make_config(hp=mf.HyperParams(2.5, 0.05, 0.8), depth=9, width=40,
+                          backprop_weights=mode)
+        x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
+        targets = np.stack([np.eye(10)[0], np.eye(10)[3]])
+        return sim._propagate(cfg, np.stack([x_a, x_b]), n_networks, targets)
+
+    @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
+    def test_block_size_changes_no_bit(self, monkeypatch, mode):
+        runs = [self.pair_run(monkeypatch, mode, 5, block) for block in (1, 2, 5)]
+        assert np.all(np.isfinite(runs[0][0])) and np.all(np.isfinite(runs[0][1]))
+        for gram, grad in runs[1:]:
+            np.testing.assert_array_equal(gram, runs[0][0])
+            np.testing.assert_array_equal(grad, runs[0][1])
+
+    @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
+    def test_more_networks_extend_a_run(self, monkeypatch, mode):
+        # Network i takes the i-th chunk of every stream, so a run's first
+        # networks are a shorter run, block boundaries apart.
+        five = self.pair_run(monkeypatch, mode, 5, block=2)
+        three = self.pair_run(monkeypatch, mode, 3, block=2)
+        np.testing.assert_array_equal(five[0][:3], three[0])
+        np.testing.assert_array_equal(five[1][:3], three[1])
+
+    def test_backward_memory_is_bounded(self):
+        # Criterion 7's shape: unblocked, the stored pre-activations,
+        # normals and bases of 50 networks would take about 85 MB.
+        cfg = sim.NetworkConfig(depth=240, width=300, hp=mf.HyperParams(2.5, 0.05),
+                                activation="tanh", seed=77)
+        x, _ = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
+        assert 3 * 50 * cfg.depth * cfg.width * 8 > 2.5 * sim._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            sim.backward_gradients(cfg, x, np.eye(10)[0], 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sim._BLOCK_BYTES + 8 * 2 ** 20
 
 
 def dense_propagate(cfg, inputs, n_networks, targets, rng):
