@@ -41,22 +41,21 @@ class ExpFit:
 
 
 def _longest_in_window_run(series: np.ndarray, floor: float, ceiling: float):
-    """Longest contiguous index run with floor < s < ceiling.
+    """Longest contiguous index run with floor < s < ceiling, half-open
+    [start, stop); the earliest of equally long runs wins, and (0, 0)
+    stands for no run.
 
     Noisy Monte Carlo series can cross the floor non-monotonically; taking
     the longest run protects the fit from re-entrant noise.
     """
     ok = (series > floor) & (series < ceiling) & np.isfinite(series)
-    best = (0, 0)  # half-open [start, stop)
-    start = None
-    for i, flag in enumerate(np.append(ok, False)):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start > best[1] - best[0]:
-                best = (start, i)
-            start = None
-    return best
+    # Run edges alternate start, stop once ok is padded with False.
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], ok, [False]))))
+    if edges.size == 0:
+        return 0, 0
+    starts, stops = edges[::2], edges[1::2]
+    longest = int(np.argmax(stops - starts))  # the first maximum
+    return int(starts[longest]), int(stops[longest])
 
 
 def fit_exponential(series, floor: float = DEFAULT_FLOOR,

@@ -14,8 +14,10 @@ variance. At q_a = q_b the terms a_n^2 are nonnegative, so the correlation
 map is increasing and convex on [0, 1] and c* is its unique stable root.
 Every map, slope and depth scale reads one record of phi per (activation,
 q, quadrature rule), a :class:`Spectrum`, made from one pass of phi and at
-most one of phi' over the nodes. Readers that revisit a q (the fixed-point
-readers and the trajectory layers) share records through a small cache.
+most one of phi' over the nodes. The fixed-point readers revisit q* and
+share its record through a small cache. A trajectory fetches a record only
+when a variance moves, and holds the record, its coefficient product and
+the next variances for as long as the variances stay put.
 
 With dropout keep-probability rho < 1 the variance map carries the
 effective weight variance sigma_w^2 / rho, while the covariance map keeps
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,40 +123,61 @@ class Trajectory:
     c_ab: np.ndarray
 
 
+class _lazy:
+    """``functools.cached_property`` without the lock that Python < 3.12
+    takes on each first read; the q* iteration makes a record per step."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.compute(record)
+        return value
+
+
 class Spectrum:
     """phi at one variance q on one quadrature rule.
 
     The only place in this module that evaluates phi or phi' on the
-    rule's nodes. Construction makes phi's node values and ``phi_sq`` =
-    E[phi(sqrt(q) z)^2]. The rest is computed on first use, with at most
-    one pass of phi': ``a`` and ``b``, the Hermite coefficients of phi and
-    phi'; ``d_phi_sq`` = E[phi'^2]; ``phi_sq_rate`` = dE[phi^2]/dq.
+    rule's nodes. Everything is computed on first use, with at most one
+    pass of phi and one of phi': ``phi_sq`` = E[phi(sqrt(q) z)^2];
+    ``a`` and ``b``, the Hermite coefficients of phi and phi';
+    ``d_phi_sq`` = E[phi'^2]; ``phi_sq_rate`` = dE[phi^2]/dq. A reader
+    of phi' alone, such as ``chi1``, pays no pass of phi.
     """
 
     def __init__(self, act: Activation, q: float, quad: QuadratureRule | None = None):
         self.act, self.q = act, q
         self.quad = rule() if quad is None else quad
-        self._root_q = sq = math.sqrt(q)
-        self._phi = node_values(lambda z: act.phi(sq * z), self.quad)
-        self.phi_sq = float(self.quad.weights @ self._phi ** 2)
+        self._root_q = math.sqrt(q)
 
-    @cached_property
+    @_lazy
+    def _phi(self) -> np.ndarray:
+        return node_values(lambda z: self.act.phi(self._root_q * z), self.quad)
+
+    @_lazy
+    def phi_sq(self) -> float:
+        return float(self.quad.weights @ self._phi ** 2)
+
+    @_lazy
     def _d_phi(self) -> np.ndarray:
         return node_values(lambda z: self.act.d_phi(self._root_q * z), self.quad)
 
-    @cached_property
+    @_lazy
     def a(self) -> np.ndarray:
         return hermite_matrix(self.quad.order) @ self._phi
 
-    @cached_property
+    @_lazy
     def b(self) -> np.ndarray:
         return hermite_matrix(self.quad.order) @ self._d_phi
 
-    @cached_property
+    @_lazy
     def d_phi_sq(self) -> float:
         return float(self.quad.weights @ self._d_phi ** 2)
 
-    @cached_property
+    @_lazy
     def phi_sq_rate(self) -> float:
         """dE[phi^2]/dq = E[z phi phi'] / sqrt(q) (Stein), E[phi'^2] at q = 0."""
         if self.q == 0.0:
@@ -166,13 +189,13 @@ class Spectrum:
         """The variance map at q."""
         return hp.effective_sigma_w_sq * self.phi_sq + hp.sigma_b_sq
 
-    def next_covariance(self, other: Spectrum, c: float, hp: HyperParams) -> float:
-        """The covariance map at correlation c between this q and other's."""
-        return hp.sigma_w_sq * _power_series(self.a * other.a, c) + hp.sigma_b_sq
+
+def _next_covariance(products: np.ndarray, c: float, hp: HyperParams) -> float:
+    """The covariance map at correlation c, from the products a_n(q_a) a_n(q_b)."""
+    return hp.sigma_w_sq * _power_series(products, c) + hp.sigma_b_sq
 
 
-#: Room for the fixed point, or a trajectory's two inputs: once their
-#: variances converge bit-exactly, every layer is a hit.
+#: Room for the record at q* and the records a trajectory fetches near it.
 _cached_spectrum = lru_cache(maxsize=16)(Spectrum)
 
 
@@ -206,9 +229,17 @@ def variance_map(q: float, hp: HyperParams, act: Activation,
     return Spectrum(act, q, quad).next_variance(hp)
 
 
+@lru_cache(maxsize=None)
+def _exponents(length: int) -> np.ndarray:
+    """0, 1, ..., length - 1, read-only and shared by every power series."""
+    exponents = np.arange(length)
+    exponents.setflags(write=False)
+    return exponents
+
+
 def _power_series(coefficients: np.ndarray, c: float) -> float:
     """sum_n coefficients[n] c^n."""
-    return float(coefficients @ c ** np.arange(len(coefficients)))
+    return float(coefficients @ c ** _exponents(len(coefficients)))
 
 
 def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
@@ -223,7 +254,7 @@ def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
         raise DomainError(f"variances must be nonnegative, got q_a={q_a}, q_b={q_b}")
     if abs(c) > 1:
         raise DomainError(f"correlation must lie in [-1, 1], got {c}")
-    return _spectrum(act, q_a, quad).next_covariance(_spectrum(act, q_b, quad), c, hp)
+    return _next_covariance(_spectrum(act, q_a, quad).a * _spectrum(act, q_b, quad).a, c, hp)
 
 
 def correlation_map(c: float, q_a: float, q_b: float, hp: HyperParams,
@@ -556,7 +587,11 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
 
     Tracks q_aa, q_bb, and q_ab layer by layer; the reported correlation
     is q_ab normalized by the same-layer variances (no fixed-point
-    approximation).
+    approximation). A record of phi is fetched only when a variance
+    moves, and an input whose variance equals the other's shares its
+    record. While both variances stay put the loop holds the coefficient
+    product, the next variances and their normaliser, so a layer costs
+    one power series in c and a clamp.
     """
     if layers < 1:
         raise DomainError(f"layers must be >= 1, got {layers}")
@@ -565,17 +600,25 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
     if q0_a < 0 or q0_b < 0:
         raise DomainError(f"variances must be nonnegative, got q_a={q0_a}, q_b={q0_b}")
 
-    q_aa = np.empty(layers + 1)
-    q_bb = np.empty(layers + 1)
-    c_ab = np.empty(layers + 1)
-    q_aa[0], q_bb[0], c_ab[0] = q0_a, q0_b, c0
+    q_a, q_b, c = float(q0_a), float(q0_b), float(c0)
+    q_aa, q_bb, c_ab = [q_a], [q_b], [c]
+    spec_a = spec_b = None
+    for _ in range(layers):
+        fetch_a = spec_a is None or q_a != spec_a.q
+        fetch_b = spec_b is None or q_b != spec_b.q
+        if fetch_a or fetch_b:
+            if fetch_a:
+                spec_a = _spectrum(act, q_a, quad)
+            if fetch_b:
+                spec_b = spec_a if q_b == q_a else _spectrum(act, q_b, quad)
+            products = spec_a.a * spec_b.a
+            q_a_next, q_b_next = spec_a.next_variance(hp), spec_b.next_variance(hp)
+            norm = math.sqrt(q_a_next * q_b_next)
+        c = min(1.0, max(-1.0, _next_covariance(products, c, hp) / norm))
+        q_a, q_b = q_a_next, q_b_next
+        q_aa.append(q_a)
+        q_bb.append(q_b)
+        c_ab.append(c)
 
-    for l in range(layers):
-        spec_a = _spectrum(act, q_aa[l], quad)
-        spec_b = _spectrum(act, q_bb[l], quad)
-        q_ab_next = spec_a.next_covariance(spec_b, c_ab[l], hp)
-        q_aa[l + 1] = spec_a.next_variance(hp)
-        q_bb[l + 1] = spec_b.next_variance(hp)
-        c_ab[l + 1] = min(1.0, max(-1.0, q_ab_next / math.sqrt(q_aa[l + 1] * q_bb[l + 1])))
-
-    return Trajectory(layers=layers, q_aa=q_aa, q_bb=q_bb, c_ab=c_ab)
+    return Trajectory(layers=layers, q_aa=np.array(q_aa), q_bb=np.array(q_bb),
+                      c_ab=np.array(c_ab))

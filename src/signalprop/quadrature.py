@@ -129,7 +129,7 @@ def hermite_matrix(order: int) -> np.ndarray:
 def node_values(f, quad: QuadratureRule) -> np.ndarray:
     """``f`` at the nodes of ``quad``, which must all be finite."""
     values = np.asarray(f(quad.nodes), dtype=float)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = quad.nodes[~np.isfinite(values)][0]
         raise NumericError(f"integrand is non-finite at node z={bad!r}")
     return values

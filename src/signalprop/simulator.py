@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import Activation, builtin
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericError
 from .meanfield import HyperParams
 
 # Stream roles. The inputs' stream is seeded from the spawn key
@@ -343,6 +343,11 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
     norm_a_sq = n * hp.rho * (q0_a - hp.sigma_b_sq) / hp.sigma_w_sq
     norm_b_sq = n * hp.rho * (q0_b - hp.sigma_b_sq) / hp.sigma_w_sq
     dot_target = n * (c0 * math.sqrt(q0_a * q0_b) - hp.sigma_b_sq) / hp.sigma_w_sq
+    if not (math.isfinite(norm_a_sq * norm_b_sq) and math.isfinite(dot_target)):
+        raise NumericError(
+            "input scale N rho (q0 - sigma_b^2) / sigma_w^2 or its dot target "
+            f"is not finite at sigma_w_sq={hp.sigma_w_sq}, width={n}"
+        )
     cos_theta = dot_target / math.sqrt(norm_a_sq * norm_b_sq)
     cos_theta = min(1.0, max(-1.0, cos_theta))
     sin_theta = math.sqrt(1.0 - cos_theta * cos_theta)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signalprop import analysis
@@ -89,3 +89,38 @@ def test_recovery_over_scales(xi, amplitude):
     layers = int(min(5000, 30 * xi + 50))
     fit = analysis.fit_exponential(synthetic(xi, amplitude, layers))
     assert math.isclose(fit.xi, xi, rel_tol=1e-8)
+
+
+def loop_longest_run(series, floor, ceiling):
+    """Reference: the longest in-window run found by a Python loop."""
+    ok = (series > floor) & (series < ceiling) & np.isfinite(series)
+    best = (0, 0)
+    start = None
+    for i, flag in enumerate(np.append(ok, False)):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if i - start > best[1] - best[0]:
+                best = (start, i)
+            start = None
+    return best
+
+
+IN, LOW, HIGH = 1e-3, 1e-12, 0.5
+
+
+@given(values=st.lists(st.sampled_from([IN, 1e-2, LOW, HIGH, 0.0, math.nan, math.inf]),
+                       max_size=60))
+@example(values=[])                                    # empty series
+@example(values=[HIGH, LOW, math.nan])                 # no in-window point
+@example(values=[IN, IN, IN, HIGH, IN])                # run at the start
+@example(values=[LOW, IN, HIGH, IN, IN, IN])           # run at the end
+@example(values=[IN, IN, HIGH, IN, IN, LOW, IN, IN])   # equal runs: earliest wins
+@settings(max_examples=200, deadline=None)
+def test_longest_run_matches_loop(values):
+    series = np.array(values, dtype=float)
+    run = analysis._longest_in_window_run(series, analysis.DEFAULT_FLOOR,
+                                          analysis.DEFAULT_CEILING)
+    assert run == loop_longest_run(series, analysis.DEFAULT_FLOOR,
+                                   analysis.DEFAULT_CEILING)
+    assert all(type(end) is int for end in run)

@@ -207,6 +207,17 @@ class TestSimulate:
         assert first != second
 
 
+    def test_unrepresentable_input_scale_is_an_error_row(self, capsys):
+        # N rho (q0 - sigma_b^2) / sigma_w^2 overflows at this sigma_w^2
+        status, out = run(["simulate", "forward", "--sigma-w-sq", "1e-307",
+                           "--depth", "3", "--width", "1000",
+                           "--networks", "2"], capsys)
+        assert status == cli.EXIT_PARTIAL
+        rows = parse_csv(out)
+        assert len(rows) == 1
+        assert "not finite" in rows[0]["error"]
+
+
 class TestParserReuse:
     # (argv, SIGNALPROP_QUAD_ORDER): an argparse error, defaults right after
     # explicit values, and an order changed between calls.

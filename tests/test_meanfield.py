@@ -381,8 +381,12 @@ class TestSpectrum:
                                    expected, rtol=0, atol=1e-13)
 
     def test_nonfinite_integrand_raises(self):
+        # phi is evaluated on first read, so the error comes from the read.
+        spec = mf.Spectrum(bare(lambda x: np.full_like(x, np.inf)), 1.0, rule(21))
         with pytest.raises(NumericError):
-            mf.Spectrum(bare(lambda x: np.full_like(x, np.inf)), 1.0, rule(21))
+            spec.phi_sq
+        with pytest.raises(NumericError):
+            spec.a
 
     @pytest.mark.parametrize("sw2,sb2,rho", [
         (1.7, 0.05, 1.0), (2.5, 0.05, 1.0), (1.3, 0.05, 0.95),
@@ -423,6 +427,25 @@ class TestSpectrum:
 class TestCriticalLine:
     def test_zero_bias_analytic(self):
         assert mf.critical_sigma_w(0.0, TANH) == 1.0
+
+    def test_no_phi_pass_beyond_its_q_star_solves(self, monkeypatch):
+        act, passes = counting(TANH)
+        in_q_star = Counter()
+        solve = mf._q_star_robust
+
+        def counted_solve(*args):
+            before = passes["phi"]
+            q_star = solve(*args)
+            in_q_star["phi"] += passes["phi"] - before
+            in_q_star["solves"] += 1
+            return q_star
+
+        monkeypatch.setattr(mf, "_q_star_robust", counted_solve)
+        mf.critical_sigma_w(0.05, act)
+        # chi1 at each Brent step reads phi' alone
+        assert in_q_star["solves"] >= 3
+        assert passes["phi"] == in_q_star["phi"]
+        assert passes["d_phi"] >= in_q_star["solves"]
 
     def test_monotone_in_bias(self):
         values = [mf.critical_sigma_w(sb2, TANH) for sb2 in (0.01, 0.05, 0.1, 0.3)]
@@ -465,6 +488,51 @@ class TestTrajectory:
         hp = mf.HyperParams(2.5, 0.05)
         traj = mf.iterate_trajectory(hp, TANH, c0=1.0, layers=50)
         assert np.all(np.abs(traj.c_ab) <= 1.0)
+
+    @staticmethod
+    def reference(hp, act, q0_a, q0_b, c0, layers, quad):
+        """The joint iteration through the public maps, layer by layer."""
+        q_aa, q_bb, c_ab = [q0_a], [q0_b], [c0]
+        for l in range(layers):
+            q_ab = mf.covariance_map(c_ab[l], q_aa[l], q_bb[l], hp, act, quad)
+            q_aa.append(mf.variance_map(q_aa[l], hp, act, quad))
+            q_bb.append(mf.variance_map(q_bb[l], hp, act, quad))
+            c_ab.append(min(1.0, max(-1.0, q_ab / math.sqrt(q_aa[-1] * q_bb[-1]))))
+        return q_aa, q_bb, c_ab
+
+    @pytest.mark.parametrize("act,sw2", [(TANH, 1.7), (HARD_TANH, 1.7), (LINEAR, 0.7)])
+    @pytest.mark.parametrize("q0_b,rho,c0,order", [
+        (0.3, 1.0, 0.6, 61),     # q0_a != q0_b
+        (0.8, 0.95, 0.6, 61),
+        (0.8, 1.0, -0.4, 61),
+        (0.8, 1.0, 1.0, 61),
+        (0.3, 1.0, 0.6, 21),
+        (0.3, 1.0, 0.6, 201),
+    ])
+    def test_bit_identical_to_the_public_maps(self, act, sw2, q0_b, rho, c0, order):
+        hp, quad = mf.HyperParams(sw2, 0.05, rho), rule(order)
+        traj = mf.iterate_trajectory(hp, act, q0_a=0.8, q0_b=q0_b, c0=c0,
+                                     layers=300, quad=quad)
+        q_aa, q_bb, c_ab = self.reference(hp, act, 0.8, q0_b, c0, 300, quad)
+        np.testing.assert_array_equal(traj.q_aa, q_aa)
+        np.testing.assert_array_equal(traj.q_bb, q_bb)
+        np.testing.assert_array_equal(traj.c_ab, c_ab)
+        # the variances stop moving, so the held records are exercised
+        assert traj.q_aa[-1] == traj.q_aa[-2] and traj.q_bb[-1] == traj.q_bb[-2]
+
+    @pytest.mark.parametrize("q0_b", [0.8, 0.3])
+    def test_records_fetched_only_when_a_variance_moves(self, monkeypatch, q0_b):
+        fetched = []
+        fetch = mf._spectrum
+
+        def counted_fetch(act, q, quad):
+            fetched.append(q)
+            return fetch(act, q, quad)
+
+        monkeypatch.setattr(mf, "_spectrum", counted_fetch)
+        traj = mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), TANH, q0_b=q0_b,
+                                     layers=2000)
+        assert len(fetched) <= len(set(traj.q_aa) | set(traj.q_bb)) + 1
 
     def test_validation(self):
         hp = mf.HyperParams(1.7, 0.05)
