@@ -92,7 +92,8 @@ def _add_common(parser: argparse.ArgumentParser, *, simulate: bool = False) -> N
     parser.add_argument("--fit-ceiling", type=float, default=analysis.DEFAULT_CEILING,
                         help="residual fit window upper bound")
     parser.add_argument("--q0", type=float, default=meanfield.DEFAULT_Q0,
-                        help="initial pre-activation variance")
+                        help="initial pre-activation variance of trajectories "
+                             "and simulate inputs")
     parser.add_argument("--c0", type=float, default=meanfield.DEFAULT_C0,
                         help="initial pre-activation correlation")
     if simulate:
@@ -224,7 +225,7 @@ def cmd_phase_diagram(args) -> tuple[list[dict], list[str], int]:
 
     def grid_point(base):
         hp = _hyper_params(base)
-        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        fp = meanfield.fixed_point(hp, act, quad)
         chi = meanfield.chi1(hp, act, fp.q_star, quad)
         return [dict(q_star=fp.q_star, c_star=fp.c_star, chi1=chi,
                      phase=meanfield.phase_of(chi) if hp.rho == 1.0 else
@@ -234,7 +235,7 @@ def cmd_phase_diagram(args) -> tuple[list[dict], list[str], int]:
         sb2 = base["sigma_b_sq"]
         crit = meanfield.critical_sigma_w(sb2, act, quad)
         hp = meanfield.HyperParams(crit, sb2, 1.0)
-        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        fp = meanfield.fixed_point(hp, act, quad)
         return [dict(sigma_w_sq=crit, q_star=fp.q_star, c_star=fp.c_star,
                      chi1=meanfield.chi1(hp, act, fp.q_star, quad))]
 
@@ -289,7 +290,7 @@ def cmd_depth_scales(args) -> tuple[list[dict], list[str], int]:
 
     def point(base):
         hp = _hyper_params(base)
-        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        fp = meanfield.fixed_point(hp, act, quad)
         scales = meanfield.depth_scales(hp, act, quad, fp=fp)
         depth = args.depth if args.depth > 0 else _auto_depth(scales)
         xi_q_meas, xi_c_meas = measured_depth_scales(
@@ -310,7 +311,7 @@ def cmd_trainable_depth(args) -> tuple[list[dict], list[str], int]:
 
     def point(base):
         hp = _hyper_params(base)
-        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        fp = meanfield.fixed_point(hp, act, quad)
         xi_c = meanfield.xi_c(hp, act, fp.q_star, fp.c_star, quad)
         return [dict(xi_c=xi_c, max_trainable_depth=6.0 * xi_c)]
 
@@ -364,7 +365,7 @@ def cmd_simulate(args) -> tuple[list[dict], list[str], int]:
         target[0] = 1.0
         if args.mode == "gradients":
             norms = simulator.backward_gradients(cfg, x_a, target, args.networks)
-            fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+            fp = meanfield.fixed_point(hp, act, quad)
             slope = -math.log(meanfield.chi1(hp, act, fp.q_star, quad))
             return [dict(layer=l,
                          log_grad_norm_sq=float(norms.mean_log_norm_sq[l]),
@@ -373,7 +374,7 @@ def cmd_simulate(args) -> tuple[list[dict], list[str], int]:
                     for l in range(len(norms.mean_log_norm_sq))]
         cov = simulator.backward_covariance(cfg, x_a, x_b, (target, target),
                                             args.networks)
-        fp = meanfield.fixed_point(hp, act, q0=args.q0, quad=quad)
+        fp = meanfield.fixed_point(hp, act, quad)
         factor = backprop.grad_covariance_factor(hp, act, fp.q_star, fp.c_star, quad)
         return [dict(layer=l,
                      grad_dot=float(cov.mean_dot[l]),

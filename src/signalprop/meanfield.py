@@ -25,6 +25,10 @@ the bare sigma_w^2 (the two independent masks contribute E[p_a] E[p_b] =
 rho^2, which cancels the 1/rho^2 prefactor). That asymmetry is what
 removes the c = 1 fixed point for any rho < 1.
 
+q* has one solver, ``solve_q_star``: Brent's method on V(q) - q over a
+bracket that holds the map's unique fixed point, with no start value and
+no fallback. c* has one too, ``solve_c_star``, on the Mehler series.
+
 Depth scales are the e-folding lengths of exponential convergence toward
 the fixed points (q*, c*); they are read off from the linearization of
 each map about its fixed point. The variance map's slope takes dE[phi^2]/dq
@@ -51,16 +55,12 @@ from .quadrature import QuadratureRule, hermite_matrix, node_values, rule
 #: |factor - 1| below this counts as criticality (depth scale +inf).
 CRITICALITY_TOL = 1e-12
 
-#: Displacement tolerance and iteration cap for fixed-point solvers.
-FIXED_POINT_TOL = 1e-12
-MAX_ITERATIONS = 100_000
-
 #: Evaluation cap of the bracketed root finder, and its relative
 #: tolerance floor (4 ulp) on top of each caller's absolute xtol.
 _ROOT_MAX_ITERATIONS = 100
 _ROOT_RTOL = 8.9e-16
 
-#: q* iterates below this with sigma_b^2 == 0 collapse to the exact
+#: q* roots below this with sigma_b^2 == 0 collapse to the exact
 #: degenerate fixed point q* = 0.
 _DEGENERATE_Q = 1e-8
 
@@ -125,7 +125,7 @@ class Trajectory:
 
 class _lazy:
     """``functools.cached_property`` without the lock that Python < 3.12
-    takes on each first read; the q* iteration makes a record per step."""
+    takes on each first read; the q* solver makes a record per evaluation."""
 
     def __init__(self, compute):
         self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
@@ -225,7 +225,7 @@ def variance_map(q: float, hp: HyperParams, act: Activation,
     """One step of the single-input variance recursion."""
     if q < 0:
         raise DomainError(f"variance must be nonnegative, got q={q}")
-    # Uncached: the q* iteration never revisits an iterate.
+    # Uncached: the q* solver never revisits a point.
     return Spectrum(act, q, quad).next_variance(hp)
 
 
@@ -272,38 +272,13 @@ def correlation_map(c: float, q_a: float, q_b: float, hp: HyperParams,
     return covariance_map(c, q_a, q_b, hp, act, quad) / math.sqrt(q_a * q_b)
 
 
-def solve_q_star(hp: HyperParams, act: Activation, q0: float = DEFAULT_Q0,
-                 quad: QuadratureRule | None = None,
-                 tol: float = FIXED_POINT_TOL,
-                 max_iterations: int = MAX_ITERATIONS) -> tuple[float, int]:
-    """Iterate the variance map to its fixed point.
-
-    Returns (q*, iteration count). Plain iteration is adequate here: the
-    variance map converges at a rate bounded away from 1 unless
-    sigma_b^2 is tiny and sigma_w^2 phi'(0)^2 near 1, where ``fixed_point``
-    falls back to bracketing the root.
-    """
-    _check_activation(act, hp)
-    q = float(q0)
-    for iteration in range(1, max_iterations + 1):
-        q_next = variance_map(q, hp, act, quad)
-        if abs(q_next - q) < tol:
-            return q_next, iteration
-        q = q_next
-    raise ConvergenceError(
-        f"variance fixed point did not converge within {max_iterations} "
-        f"iterations (last iterate {q})",
-        last_iterate=q,
-        iterations=max_iterations,
-    )
-
-
 def _bracketed_root(f, a: float, b: float, f_a: float, f_b: float,
                     xtol: float) -> tuple[float, int]:
     """Root of ``f`` between a and b by Brent's method (Brent 1973, ch. 4).
 
     ``f_a`` and ``f_b`` are the caller's values at the ends and must have
-    opposite signs (or one of them be 0). ``f`` is evaluated, and a root
+    opposite signs (or one of them be 0); otherwise the bracket holds no
+    root and NoFixedPointError is raised. ``f`` is evaluated, and a root
     returned, only strictly inside (a, b) unless an end value is exactly
     0, so an end may carry a limit of ``f`` rather than a value of it.
     Inverse quadratic and secant steps converge superlinearly; a
@@ -315,6 +290,10 @@ def _bracketed_root(f, a: float, b: float, f_a: float, f_b: float,
         return a, 0
     if f_b == 0.0:
         return b, 0
+    if not (f_a < 0.0 < f_b or f_b < 0.0 < f_a):
+        raise NoFixedPointError(
+            f"no sign change on [{a}, {b}] (end values {f_a}, {f_b})"
+        )
     # x_cur is the best estimate, x_blk the other end of the current
     # bracket, x_pre the previous estimate; s_cur and s_pre are the last
     # two steps.
@@ -359,31 +338,38 @@ def _bracketed_root(f, a: float, b: float, f_a: float, f_b: float,
     )
 
 
-def _q_star_robust(hp: HyperParams, act: Activation,
-                   quad: QuadratureRule | None = None) -> float:
-    """Fixed point of the variance map by root bracketing.
+def solve_q_star(hp: HyperParams, act: Activation,
+                 quad: QuadratureRule | None = None) -> tuple[float, int]:
+    """Fixed point of the variance map V: the root of V(q) - q by Brent's method.
 
-    Used inside the critical-line search, where plain iteration slows
-    down arbitrarily as sigma_b^2 -> 0. Bounded activations shipped here
-    satisfy sup |phi| <= 1, so the fixed point lies below
-    sigma_w^2/rho + sigma_b^2.
+    The only q* solver, with no start value and no fallback: every
+    activation that ``_check_activation`` admits has one fixed point.
+    The bracket's lower end is q = 0, where V(0) >= sigma_b^2 (1e-300
+    when sigma_b^2 = 0 and the origin is unstable). Its upper end
+    doubles from sigma_w^2/rho + sigma_b^2 + 1 until V(hi) < hi; for
+    |phi| <= 1 the first end already does, and for linear the doubling
+    ends because sigma_w^2/rho < 1. Returns (q*, number of variance-map
+    evaluations, both ends included).
     """
     _check_activation(act, hp)
     displacement = lambda q: variance_map(q, hp, act, quad) - q
-    hi = hp.effective_sigma_w_sq + hp.sigma_b_sq + 1.0
+    lo = 0.0
     if hp.sigma_b_sq == 0.0:
         # q = 0 is always a fixed point when phi(0) = 0; a positive one
         # exists only if the map leaves the origin with slope > 1.
-        slope0 = hp.effective_sigma_w_sq * float(act.d_phi(np.float64(0.0))) ** 2
-        if slope0 <= 1.0:
-            return 0.0
+        if hp.effective_sigma_w_sq * float(act.d_phi(np.float64(0.0))) ** 2 <= 1.0:
+            return 0.0, 0
         lo = 1e-300
-    else:
-        lo = 0.0
     f_lo = displacement(lo)
-    if f_lo <= 0:
-        return 0.0
-    return _bracketed_root(displacement, lo, hi, f_lo, displacement(hi), 1e-15)[0]
+    if f_lo <= 0.0:
+        return 0.0, 1
+    hi = hp.effective_sigma_w_sq + hp.sigma_b_sq + 1.0
+    f_hi, evaluations = displacement(hi), 2
+    while f_hi > 0.0:
+        hi *= 2.0
+        f_hi, evaluations = displacement(hi), evaluations + 1
+    q_star, steps = _bracketed_root(displacement, lo, hi, f_lo, f_hi, 1e-15)
+    return q_star, evaluations + steps
 
 
 def chi1(hp: HyperParams, act: Activation, q_star: float,
@@ -452,9 +438,12 @@ def xi_c(hp: HyperParams, act: Activation, q_star: float, c_star: float,
     return _scale_from_factor(correlation_slope(hp, act, q_star, c_star, quad))
 
 
-def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
-                         quad: QuadratureRule | None = None,
-                         tol: float = 1e-12) -> tuple[float, int]:
+def solve_c_star(hp: HyperParams, act: Activation, q_star: float,
+                 quad: QuadratureRule | None = None) -> tuple[float, int]:
+    """Stable fixed point of the correlation map at q_a = q_b = q*.
+
+    Returns (c*, number of correlation-map evaluations by Brent's method).
+    """
     if q_star <= 0:
         raise DomainError(f"c* requires q_star > 0, got {q_star}")
 
@@ -484,38 +473,24 @@ def _solve_c_star_detail(hp: HyperParams, act: Activation, q_star: float,
         if f_hi > 0:
             # Positive all the way to c = 1 (only rounding allows it with dropout).
             return 1.0, 0
-    return _bracketed_root(bracketed, 0.0, 1.0, displacement(0.0), f_hi, tol)
+    return _bracketed_root(bracketed, 0.0, 1.0, displacement(0.0), f_hi, 1e-12)
 
 
-def solve_c_star(hp: HyperParams, act: Activation, q_star: float,
-                 quad: QuadratureRule | None = None) -> float:
-    """Stable fixed point of the correlation map at q_a = q_b = q*."""
-    c_star, _ = _solve_c_star_detail(hp, act, q_star, quad)
-    return c_star
-
-
-def fixed_point(hp: HyperParams, act: Activation, q0: float = DEFAULT_Q0,
+def fixed_point(hp: HyperParams, act: Activation,
                 quad: QuadratureRule | None = None) -> FixedPoint:
     """Solve both fixed points, handling the degenerate q* = 0 case.
 
-    With sigma_b^2 = 0 in the ordered phase the variance collapses to
-    zero and the correlation is formally 0/0; the sigma_b^2 -> 0 limit is
-    c* = 1, reported with ``degenerate=True``.
+    q* comes from ``solve_q_star``, the one bracketed solver, and c* from
+    ``solve_c_star``; ``iterations_q`` and ``iterations_c`` are their
+    evaluation counts. With sigma_b^2 = 0 in the ordered phase the
+    variance collapses to zero and the correlation is formally 0/0; the
+    sigma_b^2 -> 0 limit is c* = 1, reported with ``degenerate=True``.
     """
-    if hp.sigma_b_sq == 0.0:
-        # Plain iteration slows to a polynomial crawl as q* -> 0 (the
-        # map's slope tends to 1 at the origin); bracket the root instead.
-        q_star, iterations_q = _q_star_robust(hp, act, quad), 0
-    else:
-        try:
-            q_star, iterations_q = solve_q_star(hp, act, q0, quad)
-        except ConvergenceError as exc:
-            # The same crawl with a tiny sigma_b^2 next to the critical line.
-            q_star, iterations_q = _q_star_robust(hp, act, quad), exc.iterations
+    q_star, iterations_q = solve_q_star(hp, act, quad)
     if hp.sigma_b_sq == 0.0 and q_star < _DEGENERATE_Q:
         return FixedPoint(q_star=0.0, c_star=1.0, iterations_q=iterations_q,
                           iterations_c=0, degenerate=True)
-    c_star, iterations_c = _solve_c_star_detail(hp, act, q_star, quad)
+    c_star, iterations_c = solve_c_star(hp, act, q_star, quad)
     return FixedPoint(q_star=q_star, c_star=c_star, iterations_q=iterations_q,
                       iterations_c=iterations_c)
 
@@ -543,9 +518,7 @@ def critical_sigma_w(sigma_b_sq: float, act: Activation,
 
     Only defined without dropout (dropout has no sharp critical point).
     At sigma_b^2 = 0 the fixed point is q* = 0 and chi1 = sigma_w^2
-    phi'(0)^2 exactly, which pins the boundary analytically; iterative
-    probing is numerically ill-posed there because q* -> 0 makes the
-    variance iteration arbitrarily slow.
+    phi'(0)^2 exactly, which pins the boundary analytically.
     """
     if sigma_b_sq < 0:
         raise DomainError(f"sigma_b_sq must be >= 0, got {sigma_b_sq}")
@@ -559,7 +532,7 @@ def critical_sigma_w(sigma_b_sq: float, act: Activation,
 
     def excess(sigma_w_sq: float) -> float:
         hp = HyperParams(sigma_w_sq=sigma_w_sq, sigma_b_sq=sigma_b_sq, rho=1.0)
-        q_star = _q_star_robust(hp, act, quad)
+        q_star, _ = solve_q_star(hp, act, quad)
         return chi1(hp, act, q_star, quad) - 1.0
 
     lo, hi = bracket
@@ -591,7 +564,8 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
     moves, and an input whose variance equals the other's shares its
     record. While both variances stay put the loop holds the coefficient
     product, the next variances and their normaliser, so a layer costs
-    one power series in c and a clamp.
+    one power series in c and a clamp. A layer whose variances multiply
+    to 0 (exactly, or by underflow) raises DegenerateVarianceError.
     """
     if layers < 1:
         raise DomainError(f"layers must be >= 1, got {layers}")
@@ -614,6 +588,10 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
             products = spec_a.a * spec_b.a
             q_a_next, q_b_next = spec_a.next_variance(hp), spec_b.next_variance(hp)
             norm = math.sqrt(q_a_next * q_b_next)
+            if norm == 0.0:
+                raise DegenerateVarianceError(
+                    f"correlation undefined for q_a={q_a_next}, q_b={q_b_next}"
+                )
         c = min(1.0, max(-1.0, _next_covariance(products, c, hp) / norm))
         q_a, q_b = q_a_next, q_b_next
         q_aa.append(q_a)

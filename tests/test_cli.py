@@ -115,6 +115,16 @@ class TestPhaseDiagram:
         assert rows[0]["error"] == ""
         assert rows[1]["error"] != ""
 
+    def test_linear_q_star_far_above_the_first_bracket(self, capsys):
+        # q* = sigma_b^2 / (1 - sigma_w^2) = 500; the error row is the
+        # critical line, which linear does not have.
+        status, out = run(["phase-diagram", "--activation", "linear",
+                           "--sigma-w-sq", "0.9999", "--sigma-b-sq", "0.05"], capsys)
+        assert status == 2
+        rows = parse_csv(out)
+        assert rows[0]["error"] == ""
+        assert math.isclose(float(rows[0]["q_star"]), 500.0, rel_tol=1e-11)
+
 
 class TestDepthScales:
     def test_infinities_in_csv(self, capsys):
@@ -142,6 +152,18 @@ class TestDepthScales:
         theory = float(row["xi_c_theory"])
         measured = float(row["xi_c_measured"])
         assert math.isclose(measured, theory, rel_tol=0.05)
+
+    @pytest.mark.parametrize("extra", [
+        ["--q0", "0"],         # a zero variance from the start
+        ["--depth", "1200"],   # 0.8 * 0.5^L underflows to 0
+    ])
+    def test_zero_variance_on_the_trajectory_is_an_error_row(self, extra, capsys):
+        status, out = run(["depth-scales", "--sigma-w-sq", "0.5",
+                           "--sigma-b-sq", "0", *extra], capsys)
+        assert status == cli.EXIT_PARTIAL
+        rows = parse_csv(out)
+        assert len(rows) == 1
+        assert rows[0]["error"].startswith("correlation undefined")
 
 
 class TestTrainableDepth:

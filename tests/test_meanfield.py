@@ -34,7 +34,7 @@ HARD_TANH = builtin("hard_tanh")
 
 # Order-201 oracles at (sigma_w_sq=1.7, sigma_b_sq=0.05), tanh.
 ORACLE_VMAP_Q08 = 0.6519480159299463      # variance_map(0.8)
-ORACLE_Q_STAR_17 = 0.5330756279466412     # fixed point from q0=0.8
+ORACLE_Q_STAR_17 = 0.5330756279466412     # variance fixed point
 ORACLE_CMAP_C06 = 0.6234236389230409      # correlation_map(0.6) at q*
 ORACLE_CHI1_17 = 0.9867408090258745
 # Order-201 oracles at (2.5, 0.05): chaotic phase.
@@ -103,12 +103,6 @@ class TestFixedPoints:
         assert math.isclose(q_star, ORACLE_Q_STAR_17, abs_tol=1e-9)
         assert iterations > 0
 
-    def test_q_star_independent_of_start(self):
-        hp = mf.HyperParams(1.7, 0.05)
-        a, _ = mf.solve_q_star(hp, TANH, q0=0.01)
-        b, _ = mf.solve_q_star(hp, TANH, q0=3.0)
-        assert math.isclose(a, b, abs_tol=1e-10)
-
     def test_chi1_oracle(self):
         hp = mf.HyperParams(1.7, 0.05)
         q_star, _ = mf.solve_q_star(hp, TANH, quad=HIGH)
@@ -136,9 +130,9 @@ class TestFixedPoints:
         assert fp.degenerate
 
     def test_tiny_bias_on_the_critical_line(self):
-        # The variance map's slope at q* tends to 1 here, so plain
-        # iteration runs out; q* = sqrt(sigma_b^2 / 2) to leading order
-        # since E[tanh^2(sqrt(q) z)] = q - 2 q^2 + O(q^3).
+        # The variance map's slope at q* tends to 1 here; q* =
+        # sqrt(sigma_b^2 / 2) to leading order since E[tanh^2(sqrt(q) z)]
+        # = q - 2 q^2 + O(q^3).
         fp = mf.fixed_point(mf.HyperParams(1.0, 1e-14), TANH)
         assert math.isclose(fp.q_star, math.sqrt(0.5e-14), rel_tol=1e-6)
         assert fp.c_star == 1.0
@@ -148,6 +142,17 @@ class TestFixedPoints:
         fp_drop = mf.fixed_point(mf.HyperParams(1.7, 0.05, rho=0.9), TANH)
         assert fp_full.c_star == 1.0
         assert fp_drop.c_star < 1.0
+
+    @pytest.mark.parametrize("sw2,sb2,rel_tol", [
+        (0.8, 0.5, 1e-12),
+        # The root's condition number 1 / (1 - sigma_w^2) = 1e4 magnifies
+        # the map's rounding and the 61-node rule's E[z^2] = 1 + 4.4e-16.
+        (0.9999, 0.05, 1e-11),
+    ])
+    def test_linear_closed_form(self, sw2, sb2, rel_tol):
+        # q* = 500 lies far above the bracket's first upper end, 2.05.
+        fp = mf.fixed_point(mf.HyperParams(sw2, sb2), LINEAR)
+        assert math.isclose(fp.q_star, sb2 / (1.0 - sw2), rel_tol=rel_tol)
 
     def test_unbounded_activation_rejected(self):
         hp = mf.HyperParams(1.5, 0.05)
@@ -167,6 +172,13 @@ class TestBracketedRoot:
         assert abs(x - root) <= xtol + 8.9e-16 * root
         # Superlinear: bisection would need log2((b - a) / xtol) >= 30.
         assert evaluations <= 15
+
+    @pytest.mark.parametrize("f_a,f_b", [(1.0, 3.0), (-2.0, -0.5), (1.0, math.nan)])
+    def test_bracket_without_sign_change_raises(self, f_a, f_b):
+        calls = []
+        with pytest.raises(NoFixedPointError):
+            mf._bracketed_root(calls.append, 0.0, 1.0, f_a, f_b, 1e-12)
+        assert calls == []
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(mf, "_ROOT_MAX_ITERATIONS", 3)
@@ -228,7 +240,7 @@ class TestCorrelationSolverCost:
         """(c*, Brent evaluations, activation passes) of one c* solve."""
         q_star = mf.fixed_point(hp, TANH).q_star
         act, passes = counting(TANH)
-        c_star, evaluations = mf._solve_c_star_detail(hp, act, q_star)
+        c_star, evaluations = mf.solve_c_star(hp, act, q_star)
         return c_star, evaluations, sum(passes.values())
 
     @pytest.mark.parametrize("sw2,sb2,rho", [
@@ -431,16 +443,16 @@ class TestCriticalLine:
     def test_no_phi_pass_beyond_its_q_star_solves(self, monkeypatch):
         act, passes = counting(TANH)
         in_q_star = Counter()
-        solve = mf._q_star_robust
+        solve = mf.solve_q_star
 
         def counted_solve(*args):
             before = passes["phi"]
-            q_star = solve(*args)
+            result = solve(*args)
             in_q_star["phi"] += passes["phi"] - before
             in_q_star["solves"] += 1
-            return q_star
+            return result
 
-        monkeypatch.setattr(mf, "_q_star_robust", counted_solve)
+        monkeypatch.setattr(mf, "solve_q_star", counted_solve)
         mf.critical_sigma_w(0.05, act)
         # chi1 at each Brent step reads phi' alone
         assert in_q_star["solves"] >= 3
@@ -454,7 +466,7 @@ class TestCriticalLine:
     def test_chi1_is_one_on_line(self):
         sw2 = mf.critical_sigma_w(0.05, TANH)
         hp = mf.HyperParams(sw2, 0.05)
-        q_star = mf._q_star_robust(hp, TANH)
+        q_star, _ = mf.solve_q_star(hp, TANH)
         assert abs(mf.chi1(hp, TANH, q_star) - 1.0) < 1e-8
 
     def test_requires_bounded_activation(self):
@@ -542,10 +554,20 @@ class TestTrajectory:
             mf.iterate_trajectory(hp, TANH, c0=1.5)
 
 
-@given(q0=st.floats(0.01, 3.0))
-@settings(max_examples=15, deadline=None)
-def test_q_star_basin_is_global(q0):
-    hp = mf.HyperParams(2.0, 0.1)
-    q_star, _ = mf.solve_q_star(hp, TANH, q0=q0)
-    reference, _ = mf.solve_q_star(hp, TANH, q0=0.8)
-    assert math.isclose(q_star, reference, abs_tol=1e-10)
+@given(act=st.sampled_from([TANH, HARD_TANH, LINEAR]),
+       fraction=st.floats(0.01, 0.9999),
+       sb2=st.one_of(st.just(0.0), st.floats(1e-14, 0.5)),
+       rho=st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True)))
+@settings(max_examples=200, deadline=None)
+def test_q_star_is_a_root_at_its_evaluation_count(act, fraction, sb2, rho):
+    # sigma_w^2 / rho up to 4 for the bounded activations, below 1 for linear
+    slope = fraction if act is LINEAR else 4.0 * fraction
+    hp = mf.HyperParams(slope * rho, sb2, rho)
+    counted, passes = counting(act)
+    fp = mf.fixed_point(hp, counted)
+    # one pass of phi per variance-map evaluation, and one for the record
+    # at q* that the c* solve reads
+    assert passes["phi"] == fp.iterations_q + (not fp.degenerate)
+    if not fp.degenerate:
+        residual = abs(mf.variance_map(fp.q_star, hp, act) - fp.q_star)
+        assert residual <= 1e-14 * max(1.0, fp.q_star)
