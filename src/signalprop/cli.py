@@ -3,7 +3,8 @@
 Subcommands
 -----------
 phase-diagram     q*, c*, chi1, and phase over a (sigma_w^2, sigma_b^2, rho)
-                  grid, plus the critical line when rho = 1.
+                  grid, plus the critical line when rho = 1 and the
+                  activation is bounded.
 critical-line     sigma_w^2(sigma_b^2) on the order-to-chaos boundary.
 depth-scales      theoretical and measured (residual-fit) depth scales.
 simulate          Monte Carlo on finite networks: forward moments, gradient
@@ -240,7 +241,8 @@ def cmd_phase_diagram(args) -> tuple[list[dict], list[str], int]:
                      chi1=meanfield.chi1(hp, act, fp.q_star, quad))]
 
     points = [(base, grid_point) for base in _grid(args)]
-    if all(rho == 1.0 for rho in args.rho):
+    # Only bounded activations have an order-to-chaos line.
+    if act.bounded and all(rho == 1.0 for rho in args.rho):
         points += [({"sigma_b_sq": sb2, "rho": 1.0, "phase": "critical"}, critical_point)
                    for sb2 in args.sigma_b_sq]
     return _sweep(points, _POINT_COLUMNS + ["q_star", "c_star", "chi1", "phase"])

@@ -15,9 +15,18 @@ map is increasing and convex on [0, 1] and c* is its unique stable root.
 Every map, slope and depth scale reads one record of phi per (activation,
 q, quadrature rule), a :class:`Spectrum`, made from one pass of phi and at
 most one of phi' over the nodes. The fixed-point readers revisit q* and
-share its record through a small cache. A trajectory fetches a record only
-when a variance moves, and holds the record, its coefficient product and
-the next variances for as long as the variances stay put.
+share its record through a small cache.
+
+Every Mehler series is summed by one evaluator, ``_series``: Horner's rule
+in c^2 on Python floats, with the even and the odd terms kept apart and
+each trimmed of the trailing terms whose absolute sum is below one
+rounding unit (2^-53) of sum_n |p_n|, so for |c| <= 1 the trim moves a
+sum by less than 2^-52 sum_n |p_n|. A record builds its series of a_n^2
+and of b_n^2 once, on first read, for the readers that come back to it:
+``covariance_map`` at q_a = q_b, ``solve_c_star``, ``correlation_slope``
+and trajectories. A trajectory fetches a record only when a variance
+moves and holds it while that variance stays put; once neither variance
+moves, the remaining layers run a loop on c alone.
 
 With dropout keep-probability rho < 1 the variance map carries the
 effective weight variance sigma_w^2 / rho, while the covariance map keeps
@@ -63,6 +72,9 @@ _ROOT_RTOL = 8.9e-16
 #: q* roots below this with sigma_b^2 == 0 collapse to the exact
 #: degenerate fixed point q* = 0.
 _DEGENERATE_Q = 1e-8
+
+#: One rounding unit of a double, the trim bound of ``_series``.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 DEFAULT_Q0 = 0.8
 DEFAULT_C0 = 0.6
@@ -144,8 +156,10 @@ class Spectrum:
     rule's nodes. Everything is computed on first use, with at most one
     pass of phi and one of phi': ``phi_sq`` = E[phi(sqrt(q) z)^2];
     ``a`` and ``b``, the Hermite coefficients of phi and phi';
-    ``d_phi_sq`` = E[phi'^2]; ``phi_sq_rate`` = dE[phi^2]/dq. A reader
-    of phi' alone, such as ``chi1``, pays no pass of phi.
+    ``d_phi_sq`` = E[phi'^2]; ``phi_sq_rate`` = dE[phi^2]/dq;
+    ``a_sq_series`` and ``b_sq_series``, the evaluators (``_series``) of
+    sum_n a_n^2 c^n and sum_n b_n^2 c^n, each built once for every later
+    read. A reader of phi' alone, such as ``chi1``, pays no pass of phi.
     """
 
     def __init__(self, act: Activation, q: float, quad: QuadratureRule | None = None):
@@ -174,6 +188,14 @@ class Spectrum:
         return hermite_matrix(self.quad.order) @ self._d_phi
 
     @_lazy
+    def a_sq_series(self):
+        return _series(self.a * self.a)
+
+    @_lazy
+    def b_sq_series(self):
+        return _series(self.b * self.b)
+
+    @_lazy
     def d_phi_sq(self) -> float:
         return float(self.quad.weights @ self._d_phi ** 2)
 
@@ -190,9 +212,46 @@ class Spectrum:
         return hp.effective_sigma_w_sq * self.phi_sq + hp.sigma_b_sq
 
 
-def _next_covariance(products: np.ndarray, c: float, hp: HyperParams) -> float:
-    """The covariance map at correlation c, from the products a_n(q_a) a_n(q_b)."""
-    return hp.sigma_w_sq * _power_series(products, c) + hp.sigma_b_sq
+def _series(coefficients: np.ndarray):
+    """The function c -> sum_n coefficients[n] c^n, for |c| <= 1.
+
+    Horner's rule in c^2 on Python floats, over the even and the odd
+    terms apart; each part drops its trailing terms whose absolute sum is
+    below 2^-53 sum_n |coefficients[n]|, so the trim moves the sum by at
+    most 2^-52 sum_n |coefficients[n]| (to rounding) on [-1, 1]. Build
+    once per coefficient vector: the build costs several evaluations.
+    """
+    values = coefficients.tolist()
+    even, odd = values[0::2], values[1::2]
+    even.reverse()
+    odd.reverse()
+    even_size, odd_size = sum(map(abs, even)), sum(map(abs, odd))
+    floor = _UNIT_ROUNDOFF * (even_size + odd_size)
+    # A part below the floor as a whole (the even part of an odd phi's
+    # a_n^2) goes without a walk.
+    even = _trimmed(even, floor) if even_size >= floor else ()
+    odd = _trimmed(odd, floor) if odd_size >= floor else ()
+
+    def series(c: float) -> float:
+        square, even_sum, odd_sum = c * c, 0.0, 0.0
+        for p in even:
+            even_sum = even_sum * square + p
+        for p in odd:
+            odd_sum = odd_sum * square + p
+        return even_sum + c * odd_sum
+
+    return series
+
+
+def _trimmed(terms: list[float], floor: float) -> tuple[float, ...]:
+    """``terms``, highest power first, less the leading run whose absolute
+    sum is below ``floor``."""
+    tail = 0.0
+    for start, term in enumerate(terms):
+        tail += abs(term)
+        if tail >= floor:
+            return tuple(terms[start:])
+    return ()
 
 
 #: Room for the record at q* and the records a trajectory fetches near it.
@@ -229,32 +288,25 @@ def variance_map(q: float, hp: HyperParams, act: Activation,
     return Spectrum(act, q, quad).next_variance(hp)
 
 
-@lru_cache(maxsize=None)
-def _exponents(length: int) -> np.ndarray:
-    """0, 1, ..., length - 1, read-only and shared by every power series."""
-    exponents = np.arange(length)
-    exponents.setflags(write=False)
-    return exponents
-
-
-def _power_series(coefficients: np.ndarray, c: float) -> float:
-    """sum_n coefficients[n] c^n."""
-    return float(coefficients @ c ** _exponents(len(coefficients)))
-
-
 def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
                    act: Activation, quad: QuadratureRule | None = None) -> float:
     """One step of the pair-covariance recursion (unnormalized).
 
     The Mehler series sigma_w^2 sum_n a_n(q_a) a_n(q_b) c^n + sigma_b^2 up
-    to the quadrature order; at c = 1, q_a = q_b it reproduces the variance
-    map's second moment to rounding (discrete Parseval).
+    to the quadrature order, summed by ``_series``; at c = 1, q_a = q_b it
+    reproduces the variance map's second moment to rounding (discrete
+    Parseval).
     """
     if q_a < 0 or q_b < 0:
         raise DomainError(f"variances must be nonnegative, got q_a={q_a}, q_b={q_b}")
     if abs(c) > 1:
         raise DomainError(f"correlation must lie in [-1, 1], got {c}")
-    return _next_covariance(_spectrum(act, q_a, quad).a * _spectrum(act, q_b, quad).a, c, hp)
+    spec_a = _spectrum(act, q_a, quad)
+    if q_a == q_b:
+        series = spec_a.a_sq_series
+    else:
+        series = _series(spec_a.a * _spectrum(act, q_b, quad).a)
+    return hp.sigma_w_sq * series(c) + hp.sigma_b_sq
 
 
 def correlation_map(c: float, q_a: float, q_b: float, hp: HyperParams,
@@ -422,8 +474,7 @@ def correlation_slope(hp: HyperParams, act: Activation, q_star: float,
     """
     if q_star == 0.0:
         return hp.sigma_w_sq * float(act.d_phi(np.float64(0.0))) ** 2
-    b = _spectrum(act, q_star, quad).b
-    return hp.sigma_w_sq * _power_series(b * b, c_star)
+    return hp.sigma_w_sq * _spectrum(act, q_star, quad).b_sq_series(c_star)
 
 
 def xi_c(hp: HyperParams, act: Activation, q_star: float, c_star: float,
@@ -447,12 +498,12 @@ def solve_c_star(hp: HyperParams, act: Activation, q_star: float,
     if q_star <= 0:
         raise DomainError(f"c* requires q_star > 0, got {q_star}")
 
-    # F(c) = sum_n weights[n] c^n + sigma_b^2 / q* with weights >= 0, so
+    # F(c) = scale sum_n a_n^2 c^n + sigma_b^2 / q* with scale > 0, so
     # F(0) >= 0 and F(c) - c is convex: when F(1) < 1 or F'(1) > 1 it has
     # one root in [0, 1), where F' < 1, and [0, 1] always brackets it.
-    weights = hp.sigma_w_sq / q_star * _spectrum(act, q_star, quad).a ** 2
-    bias = hp.sigma_b_sq / q_star
-    displacement = lambda c: _power_series(weights, c) + bias - c
+    record = _spectrum(act, q_star, quad)
+    scale, bias = hp.sigma_w_sq / q_star, hp.sigma_b_sq / q_star
+    displacement = lambda c: scale * record.a_sq_series(c) + bias - c
 
     if hp.rho == 1.0:
         # c = 1 is an exact fixed point without dropout; it is the stable
@@ -562,10 +613,11 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
     is q_ab normalized by the same-layer variances (no fixed-point
     approximation). A record of phi is fetched only when a variance
     moves, and an input whose variance equals the other's shares its
-    record. While both variances stay put the loop holds the coefficient
-    product, the next variances and their normaliser, so a layer costs
-    one power series in c and a clamp. A layer whose variances multiply
-    to 0 (exactly, or by underflow) raises DegenerateVarianceError.
+    record and its series of a_n^2. Once both next variances equal the
+    current ones bit for bit they stay put, and the remaining layers run
+    a loop on c alone: one series evaluation and a clamp per layer. A
+    layer whose variances multiply to 0 (exactly, or by underflow) raises
+    DegenerateVarianceError.
     """
     if layers < 1:
         raise DomainError(f"layers must be >= 1, got {layers}")
@@ -576,27 +628,36 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
 
     q_a, q_b, c = float(q0_a), float(q0_b), float(c0)
     q_aa, q_bb, c_ab = [q_a], [q_b], [c]
+    weight, bias = hp.sigma_w_sq, hp.sigma_b_sq
     spec_a = spec_b = None
-    for _ in range(layers):
-        fetch_a = spec_a is None or q_a != spec_a.q
-        fetch_b = spec_b is None or q_b != spec_b.q
-        if fetch_a or fetch_b:
-            if fetch_a:
-                spec_a = _spectrum(act, q_a, quad)
-            if fetch_b:
-                spec_b = spec_a if q_b == q_a else _spectrum(act, q_b, quad)
-            products = spec_a.a * spec_b.a
-            q_a_next, q_b_next = spec_a.next_variance(hp), spec_b.next_variance(hp)
-            norm = math.sqrt(q_a_next * q_b_next)
-            if norm == 0.0:
-                raise DegenerateVarianceError(
-                    f"correlation undefined for q_a={q_a_next}, q_b={q_b_next}"
-                )
-        c = min(1.0, max(-1.0, _next_covariance(products, c, hp) / norm))
+    remaining = layers
+    while remaining:
+        if spec_a is None or q_a != spec_a.q:
+            spec_a = _spectrum(act, q_a, quad)
+            q_a_next = spec_a.next_variance(hp)
+        if spec_b is None or q_b != spec_b.q:
+            spec_b = spec_a if q_b == q_a else _spectrum(act, q_b, quad)
+            q_b_next = spec_b.next_variance(hp)
+        series = spec_a.a_sq_series if q_a == q_b else _series(spec_a.a * spec_b.a)
+        norm = math.sqrt(q_a_next * q_b_next)
+        if norm == 0.0:
+            raise DegenerateVarianceError(
+                f"correlation undefined for q_a={q_a_next}, q_b={q_b_next}"
+            )
+        if q_a_next == q_a and q_b_next == q_b:
+            break
+        c = (weight * series(c) + bias) / norm
+        c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
         q_a, q_b = q_a_next, q_b_next
         q_aa.append(q_a)
         q_bb.append(q_b)
         c_ab.append(c)
-
+        remaining -= 1
+    for _ in range(remaining):
+        c = (weight * series(c) + bias) / norm
+        c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
+        c_ab.append(c)
+    q_aa += [q_a] * remaining
+    q_bb += [q_b] * remaining
     return Trajectory(layers=layers, q_aa=np.array(q_aa), q_bb=np.array(q_bb),
                       c_ab=np.array(c_ab))

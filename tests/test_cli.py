@@ -116,13 +116,13 @@ class TestPhaseDiagram:
         assert rows[1]["error"] != ""
 
     def test_linear_q_star_far_above_the_first_bracket(self, capsys):
-        # q* = sigma_b^2 / (1 - sigma_w^2) = 500; the error row is the
-        # critical line, which linear does not have.
+        # q* = sigma_b^2 / (1 - sigma_w^2) = 500; linear has no critical
+        # line, so no critical row is requested.
         status, out = run(["phase-diagram", "--activation", "linear",
                            "--sigma-w-sq", "0.9999", "--sigma-b-sq", "0.05"], capsys)
-        assert status == 2
+        assert status == 0
         rows = parse_csv(out)
-        assert rows[0]["error"] == ""
+        assert len(rows) == 1 and "error" not in rows[0]
         assert math.isclose(float(rows[0]["q_star"]), 500.0, rel_tol=1e-11)
 
 

@@ -9,6 +9,7 @@ test_quadrature).
 import dataclasses
 import math
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -366,6 +367,46 @@ class TestXiQ:
                 assert math.isfinite(scales.xi_q) and scales.xi_q > 0
 
 
+@st.composite
+def series_cases(draw):
+    """Coefficient vectors of every parity, with tails below, at and above
+    the trim floor, and a correlation in [-1, 1]."""
+    length = draw(st.sampled_from([1, 2, 61, 201]))
+    parity = draw(st.sampled_from(["mixed", "even", "odd"]))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=length, max_size=length))
+    ratio = draw(st.floats(0.0, 1.0))
+    tail_start = draw(st.integers(0, length))
+    tail_scale = draw(st.sampled_from([1.0, 2.0 ** -52, 2.0 ** -53, 2.0 ** -60, 1e-30]))
+    coefficients = np.array([
+        0.0 if (parity == "even" and n % 2) or (parity == "odd" and not n % 2)
+        else value * ratio ** n * (tail_scale if n >= tail_start else 1.0)
+        for n, value in enumerate(values)
+    ])
+    return coefficients, parity, draw(st.floats(-1.0, 1.0))
+
+
+@given(series_cases())
+@settings(max_examples=200, deadline=None)
+def test_series_against_an_exact_sum(case):
+    coefficients, parity, c = case
+    series = mf._series(coefficients)
+    exact, x = Fraction(0), Fraction(c)
+    for p in reversed(coefficients.tolist()):
+        exact = exact * x + Fraction(p)
+    magnitude = sum(Fraction(abs(p)) for p in coefficients.tolist())
+    unit, subnormal = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1074)
+    # Horner's rounding, a small multiple of len * 2^-53 sum |p_n| (and of
+    # the subnormal spacing, where rounding is absolute), plus the
+    # documented trim bound 2^-52 sum |p_n|
+    bound = ((2 * len(coefficients) + 4) * (unit * magnitude + subnormal)
+             + 2 * unit * magnitude)
+    assert abs(Fraction(series(c)) - exact) <= bound
+    if parity == "odd":
+        assert series(-c) == -series(c)
+    elif parity == "even":
+        assert series(-c) == series(c)
+
+
 def bare(phi):
     """An activation with only phi, for the Hermite coefficients."""
     return Activation(name="bare", phi=phi, d_phi=None, dd_phi=None, bounded=False)
@@ -483,6 +524,11 @@ class TestPhase:
         assert mf.phase_of(chi) == expected
 
 
+#: The variance at which the 61-node hard_tanh map at (1.7, 0.05) stops moving.
+HARD_TANH_Q_FIXED = float(mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), HARD_TANH,
+                                                layers=100).q_aa[-1])
+
+
 class TestTrajectory:
     def test_converges_to_fixed_point(self):
         hp = mf.HyperParams(1.7, 0.05)
@@ -512,20 +558,33 @@ class TestTrajectory:
             c_ab.append(min(1.0, max(-1.0, q_ab / math.sqrt(q_aa[-1] * q_bb[-1]))))
         return q_aa, q_bb, c_ab
 
-    @pytest.mark.parametrize("act,sw2", [(TANH, 1.7), (HARD_TANH, 1.7), (LINEAR, 0.7)])
-    @pytest.mark.parametrize("q0_b,rho,c0,order", [
-        (0.3, 1.0, 0.6, 61),     # q0_a != q0_b
-        (0.8, 0.95, 0.6, 61),
-        (0.8, 1.0, -0.4, 61),
-        (0.8, 1.0, 1.0, 61),
-        (0.3, 1.0, 0.6, 21),
-        (0.3, 1.0, 0.6, 201),
+    @pytest.mark.parametrize("act,sw2,q0_a,q0_b,rho,c0,order,layers", [
+        pytest.param(act, sw2, 0.8, q0_b, rho, c0, order, 300,
+                     id=f"{q0_b}-{rho}-{c0}-{order}-act{index}-{sw2}")
+        for q0_b, rho, c0, order in [
+            (0.3, 1.0, 0.6, 61),     # q0_a != q0_b
+            (0.8, 0.95, 0.6, 61),
+            (0.8, 1.0, -0.4, 61),
+            (0.8, 1.0, 1.0, 61),
+            (0.3, 1.0, 0.6, 21),
+            (0.3, 1.0, 0.6, 201),
+        ]
+        for index, (act, sw2) in enumerate([(TANH, 1.7), (HARD_TANH, 1.7), (LINEAR, 0.7)])
+    ] + [
+        # 0.991 of the critical sigma_w^2 (1.76095): the variances settle by
+        # layer 55 and c alone moves, every layer, for the other 4945 or so
+        pytest.param(TANH, 1.745, 0.8, 0.8, 1.0, 0.6, 61, 5000, id="tanh-near-critical"),
+        # q0_a is the map's own fixed point: input a's record is held from
+        # the first layer while input b's variance moves for 38 layers
+        pytest.param(HARD_TANH, 1.7, HARD_TANH_Q_FIXED, 0.01, 1.0, -0.4, 61, 300,
+                     id="hard_tanh-held"),
     ])
-    def test_bit_identical_to_the_public_maps(self, act, sw2, q0_b, rho, c0, order):
+    def test_bit_identical_to_the_public_maps(self, act, sw2, q0_a, q0_b, rho, c0,
+                                              order, layers):
         hp, quad = mf.HyperParams(sw2, 0.05, rho), rule(order)
-        traj = mf.iterate_trajectory(hp, act, q0_a=0.8, q0_b=q0_b, c0=c0,
-                                     layers=300, quad=quad)
-        q_aa, q_bb, c_ab = self.reference(hp, act, 0.8, q0_b, c0, 300, quad)
+        traj = mf.iterate_trajectory(hp, act, q0_a=q0_a, q0_b=q0_b, c0=c0,
+                                     layers=layers, quad=quad)
+        q_aa, q_bb, c_ab = self.reference(hp, act, q0_a, q0_b, c0, layers, quad)
         np.testing.assert_array_equal(traj.q_aa, q_aa)
         np.testing.assert_array_equal(traj.q_bb, q_bb)
         np.testing.assert_array_equal(traj.c_ab, c_ab)
@@ -545,6 +604,27 @@ class TestTrajectory:
         traj = mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), TANH, q0_b=q0_b,
                                      layers=2000)
         assert len(fetched) <= len(set(traj.q_aa) | set(traj.q_bb)) + 1
+
+    @pytest.mark.parametrize("q0_b", [0.8, 0.3])
+    @pytest.mark.parametrize("sw2,at_q_star", [
+        (1.7, 1),   # ordered, c* = 1: b_n^2 for the slopes only
+        (2.5, 2),   # chaotic: a_n^2 for the c* solve as well
+    ])
+    def test_each_series_is_built_once(self, monkeypatch, sw2, at_q_star, q0_b):
+        builds = Counter()
+        build = mf._series
+
+        def counted_build(coefficients):
+            builds["series"] += 1
+            return build(coefficients)
+
+        monkeypatch.setattr(mf, "_series", counted_build)
+        hp = mf.HyperParams(sw2, 0.05)
+        mf.depth_scales(hp, TANH, fp=mf.fixed_point(hp, TANH))
+        assert builds["series"] == at_q_star
+        traj = mf.iterate_trajectory(hp, TANH, q0_b=q0_b, layers=2000)
+        # one series per pair of variances, none per layer
+        assert builds["series"] <= at_q_star + len(set(zip(traj.q_aa, traj.q_bb)))
 
     def test_validation(self):
         hp = mf.HyperParams(1.7, 0.05)
@@ -566,8 +646,9 @@ def test_q_star_is_a_root_at_its_evaluation_count(act, fraction, sb2, rho):
     counted, passes = counting(act)
     fp = mf.fixed_point(hp, counted)
     # one pass of phi per variance-map evaluation, and one for the record
-    # at q* that the c* solve reads
-    assert passes["phi"] == fp.iterations_q + (not fp.degenerate)
+    # at q* when the c* solve reads its a_n (not when chi1 <= 1 gives c* = 1)
+    reads_record = not fp.degenerate and (rho < 1.0 or fp.c_star < 1.0)
+    assert passes["phi"] == fp.iterations_q + reads_record
     if not fp.degenerate:
         residual = abs(mf.variance_map(fp.q_star, hp, act) - fp.q_star)
         assert residual <= 1e-14 * max(1.0, fp.q_star)
