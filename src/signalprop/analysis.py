@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import DomainError, InsufficientDataError
 from .meanfield import FixedPoint, Trajectory
 
 DEFAULT_FLOOR = 1e-10
@@ -60,7 +60,13 @@ def _longest_in_window_run(series: np.ndarray, floor: float, ceiling: float):
 
 def fit_exponential(series, floor: float = DEFAULT_FLOOR,
                     ceiling: float = DEFAULT_CEILING) -> ExpFit:
-    """OLS fit of log(series_l) against l over the in-window run."""
+    """OLS fit of log(series_l) against l over the in-window run.
+
+    The window must satisfy 0 < floor < ceiling.
+    """
+    if not 0 < floor < ceiling:
+        raise DomainError(f"fit window needs 0 < floor < ceiling, got "
+                          f"floor={floor}, ceiling={ceiling}")
     series = np.asarray(series, dtype=float)
     start, stop = _longest_in_window_run(series, floor, ceiling)
     n_points = stop - start

@@ -11,6 +11,19 @@ simulate          Monte Carlo on finite networks: forward moments, gradient
                   norms, or gradient covariances, with theory columns.
 trainable-depth   the 6 * xi_c maximum-trainable-depth overlay data.
 
+Each subcommand takes only the flags it reads. All take --activation,
+--format, --out and --quad-order, and the grid flags: --sigma-b-sq, and
+also --sigma-w-sq and --rho except for critical-line, since dropout
+(rho < 1) has no critical line. depth-scales adds --q0, --c0, --depth,
+--fit-floor and --fit-ceiling; simulate adds --q0, --c0, its mode and the
+network flags --depth, --width, --networks, --seed, --backprop-weights,
+--classes and --input-file.
+
+One table, ``_COMMANDS``, maps each subcommand to its flags, its columns
+and one point function ``(args, act, quad, base) -> rows``, where ``base``
+holds one grid point's values; ``main`` runs every subcommand through one
+sweep driver.
+
 Numeric cells use 17 significant digits in CSV so emitted tables parse
 back to the same values. Infinities are the strings ``inf``/``-inf`` in
 CSV; in JSON the value is null and a companion ``<column>_flag`` key
@@ -22,16 +35,16 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import analysis, backprop, meanfield, quadrature, simulator
 from .activations import builtin, supported_names
-from .errors import SignalPropError
+from .errors import DomainError, InsufficientDataError, SignalPropError
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -67,54 +80,61 @@ def _parse_rho_list(text: str) -> list[float]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, *, simulate: bool = False) -> None:
-    # String defaults go through ``type`` on every parse, so no parsed
-    # namespace shares a list with the (cached) parser.
-    parser.add_argument("--sigma-w-sq", type=_parse_range, default="1.0",
-                        metavar="V|MIN:MAX:STEPS",
-                        help="weight variance value or sweep range")
-    parser.add_argument("--sigma-b-sq", type=_parse_range, default="0.05",
-                        metavar="V|MIN:MAX:STEPS",
-                        help="bias variance value or sweep range")
-    parser.add_argument("--rho", type=_parse_rho_list, default="1.0",
-                        metavar="R[,R...]",
-                        help="comma-separated dropout keep-probabilities")
-    parser.add_argument("--activation", default="tanh",
-                        choices=supported_names(), help="activation function")
-    parser.add_argument("--format", dest="fmt", default="csv",
-                        choices=("csv", "json"), help="output format")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="output file (default: stdout)")
-    parser.add_argument("--quad-order", type=int, default=None,
-                        help="Gauss-Hermite quadrature order (None: env "
-                             f"{quadrature._ORDER_ENV_VAR}, else {quadrature.DEFAULT_ORDER})")
-    parser.add_argument("--fit-floor", type=float, default=analysis.DEFAULT_FLOOR,
-                        help="residual fit window lower bound")
-    parser.add_argument("--fit-ceiling", type=float, default=analysis.DEFAULT_CEILING,
-                        help="residual fit window upper bound")
-    parser.add_argument("--q0", type=float, default=meanfield.DEFAULT_Q0,
-                        help="initial pre-activation variance of trajectories "
-                             "and simulate inputs")
-    parser.add_argument("--c0", type=float, default=meanfield.DEFAULT_C0,
-                        help="initial pre-activation correlation")
-    if simulate:
-        parser.add_argument("--depth", type=int, default=60, help="number of layers")
-        parser.add_argument("--width", type=int, default=300, help="layer width")
-        parser.add_argument("--networks", type=int, default=50,
-                            help="ensemble size (number of sampled networks)")
-        parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-        parser.add_argument("--backprop-weights", default="tied",
-                            choices=simulator.BACKPROP_MODES,
-                            help="backward-pass weight sampling mode")
-        parser.add_argument("--classes", type=int, default=simulator.DEFAULT_N_CLASSES,
-                            help="softmax readout width")
-        parser.add_argument("--input-file", default=None, metavar="PATH",
-                            help="raw little-endian float32 rows (length = width) "
-                                 "to use as inputs instead of synthetic vectors")
-    else:
-        parser.add_argument("--depth", type=int, default=0,
-                            help="trajectory length for residual fits "
-                                 "(0 = choose from the theoretical scales)")
+def _flag(*names, **options):
+    """One ``add_argument`` call: its names and its keyword options."""
+    return names, options
+
+
+# String defaults go through ``type`` on every parse, so no parsed
+# namespace shares a list with the (cached) parser.
+_SIGMA_W = _flag("--sigma-w-sq", type=_parse_range, default="1.0",
+                 metavar="V|MIN:MAX:STEPS", help="weight variance value or sweep range")
+_SIGMA_B = _flag("--sigma-b-sq", type=_parse_range, default="0.05",
+                 metavar="V|MIN:MAX:STEPS", help="bias variance value or sweep range")
+_RHO = _flag("--rho", type=_parse_rho_list, default="1.0", metavar="R[,R...]",
+             help="comma-separated dropout keep-probabilities")
+_OUTPUT = (
+    _flag("--activation", default="tanh", choices=supported_names(),
+          help="activation function"),
+    _flag("--format", dest="fmt", default="csv", choices=("csv", "json"),
+          help="output format"),
+    _flag("--out", default=None, metavar="PATH", help="output file (default: stdout)"),
+    _flag("--quad-order", type=int, default=quadrature.DEFAULT_ORDER,
+          help=f"Gauss-Hermite quadrature order (at least {quadrature.MIN_ORDER})"),
+)
+_START = (
+    _flag("--q0", type=float, default=meanfield.DEFAULT_Q0,
+          help="initial pre-activation variance of trajectories and simulate inputs"),
+    _flag("--c0", type=float, default=meanfield.DEFAULT_C0,
+          help="initial pre-activation correlation"),
+)
+_FIT = (
+    _flag("--depth", type=int, default=0,
+          help="trajectory length for residual fits (0 = choose from the "
+               "theoretical scales)"),
+    _flag("--fit-floor", type=float, default=analysis.DEFAULT_FLOOR,
+          help="residual fit window lower bound"),
+    _flag("--fit-ceiling", type=float, default=analysis.DEFAULT_CEILING,
+          help="residual fit window upper bound"),
+)
+_NETWORK = (
+    _flag("--depth", type=int, default=60, help="number of layers"),
+    _flag("--width", type=int, default=300, help="layer width"),
+    _flag("--networks", type=int, default=50,
+          help="ensemble size (number of sampled networks)"),
+    _flag("--seed", type=int, default=0, help="master RNG seed"),
+    _flag("--backprop-weights", default="tied", choices=simulator.BACKPROP_MODES,
+          help="backward-pass weight sampling mode"),
+    _flag("--classes", type=int, default=simulator.DEFAULT_N_CLASSES,
+          help="softmax readout width"),
+    _flag("--input-file", default=None, metavar="PATH",
+          help="raw little-endian float32 rows (length = width) to use as "
+               "inputs instead of synthetic vectors"),
+)
+_GRID_FLAGS = (_SIGMA_W, _SIGMA_B, _RHO)
+
+#: Grid columns, in the order their values nest (the last varies fastest).
+_GRID = ("sigma_w_sq", "sigma_b_sq", "rho")
 
 
 @functools.cache
@@ -127,15 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("phase-diagram", "critical-line", "depth-scales",
-                 "trainable-depth"):
+    for name, (flags, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        _add_common(p)
-
-    p = sub.add_parser("simulate", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("mode", choices=("forward", "gradients", "grad-covariance"))
-    _add_common(p, simulate=True)
+        for names, options in flags:
+            p.add_argument(*names, **options)
     return parser
 
 
@@ -184,21 +199,7 @@ def emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) -
 
 
 # ---------------------------------------------------------------------------
-# subcommands
-
-_POINT_COLUMNS = ["sigma_w_sq", "sigma_b_sq", "rho"]
-
-
-def _grid(args):
-    for sw2 in args.sigma_w_sq:
-        for sb2 in args.sigma_b_sq:
-            for rho in args.rho:
-                yield {"sigma_w_sq": sw2, "sigma_b_sq": sb2, "rho": rho}
-
-
-def _hyper_params(base: dict) -> meanfield.HyperParams:
-    return meanfield.HyperParams(base["sigma_w_sq"], base["sigma_b_sq"], base["rho"])
-
+# the sweep driver and the point functions
 
 def _sweep(points, columns: list[str]) -> tuple[list[dict], list[str], int]:
     """Rows, columns and exit status of a sweep.
@@ -220,44 +221,26 @@ def _sweep(points, columns: list[str]) -> tuple[list[dict], list[str], int]:
     return rows, columns, status
 
 
-def cmd_phase_diagram(args) -> tuple[list[dict], list[str], int]:
-    act = builtin(args.activation)
-    quad = quadrature.rule(args.quad_order)
-
-    def grid_point(base):
-        hp = _hyper_params(base)
-        fp = meanfield.fixed_point(hp, act, quad)
-        chi = meanfield.chi1(hp, act, fp.q_star, quad)
-        return [dict(q_star=fp.q_star, c_star=fp.c_star, chi1=chi,
-                     phase=meanfield.phase_of(chi) if hp.rho == 1.0 else
-                     ("ordered" if chi < 1.0 else "chaotic"))]
-
-    def critical_point(base):
-        sb2 = base["sigma_b_sq"]
-        crit = meanfield.critical_sigma_w(sb2, act, quad)
-        hp = meanfield.HyperParams(crit, sb2, 1.0)
-        fp = meanfield.fixed_point(hp, act, quad)
-        return [dict(sigma_w_sq=crit, q_star=fp.q_star, c_star=fp.c_star,
-                     chi1=meanfield.chi1(hp, act, fp.q_star, quad))]
-
-    points = [(base, grid_point) for base in _grid(args)]
-    # Only bounded activations have an order-to-chaos line.
-    if act.bounded and all(rho == 1.0 for rho in args.rho):
-        points += [({"sigma_b_sq": sb2, "rho": 1.0, "phase": "critical"}, critical_point)
-                   for sb2 in args.sigma_b_sq]
-    return _sweep(points, _POINT_COLUMNS + ["q_star", "c_star", "chi1", "phase"])
+def _phase_point(args, act, quad, base):
+    hp = meanfield.HyperParams(**base)
+    fp = meanfield.fixed_point(hp, act, quad)
+    chi = meanfield.chi1(hp, act, fp.q_star, quad)
+    return [dict(q_star=fp.q_star, c_star=fp.c_star, chi1=chi,
+                 phase=meanfield.phase_of(chi, hp.rho))]
 
 
-def cmd_critical_line(args) -> tuple[list[dict], list[str], int]:
-    act = builtin(args.activation)
-    quad = quadrature.rule(args.quad_order)
+def _critical_row(args, act, quad, base):
+    """A phase-diagram row on the critical line at ``base``'s sigma_b^2."""
+    crit = meanfield.critical_sigma_w(base["sigma_b_sq"], act, quad)
+    hp = meanfield.HyperParams(crit, base["sigma_b_sq"])
+    fp = meanfield.fixed_point(hp, act, quad)
+    return [dict(sigma_w_sq=crit, q_star=fp.q_star, c_star=fp.c_star,
+                 chi1=meanfield.chi1(hp, act, fp.q_star, quad))]
 
-    def point(base):
-        return [{"sigma_w_sq_critical":
-                 meanfield.critical_sigma_w(base["sigma_b_sq"], act, quad)}]
 
-    return _sweep((({"sigma_b_sq": sb2}, point) for sb2 in args.sigma_b_sq),
-                  ["sigma_b_sq", "sigma_w_sq_critical"])
+def _critical_point(args, act, quad, base):
+    return [{"sigma_w_sq_critical":
+             meanfield.critical_sigma_w(base["sigma_b_sq"], act, quad)}]
 
 
 def _auto_depth(scales: meanfield.DepthScales) -> int:
@@ -267,67 +250,80 @@ def _auto_depth(scales: meanfield.DepthScales) -> int:
     return int(min(5000, max(60, math.ceil(30 * max(finite)) + 40)))
 
 
-def measured_depth_scales(hp, act, quad, fp: meanfield.FixedPoint, depth: int,
-                          q0: float, c0: float, floor: float,
-                          ceiling: float) -> tuple[float, float]:
-    """Depth scales from exponential fits to the residuals, against ``fp``,
-    of a trajectory started at (q0, q0, c0)."""
-    traj = meanfield.iterate_trajectory(hp, act, q0_a=q0, q0_b=q0, c0=c0,
-                                        layers=depth, quad=quad)
-    q_res, c_res = analysis.residuals(traj, fp)
-    try:
-        xi_q_meas = analysis.fit_exponential(q_res, floor, ceiling).xi
-    except SignalPropError:
-        xi_q_meas = math.nan
-    try:
-        xi_c_meas = analysis.fit_exponential(c_res, floor, ceiling).xi
-    except SignalPropError:
-        xi_c_meas = math.nan
-    return xi_q_meas, xi_c_meas
+def _depth_point(args, act, quad, base):
+    """Theoretical depth scales, and the measured ones from exponential fits
+    to the residuals of a trajectory started at (q0, q0, c0)."""
+    hp = meanfield.HyperParams(**base)
+    fp = meanfield.fixed_point(hp, act, quad)
+    scales = meanfield.depth_scales(hp, act, quad, fp=fp)
+    traj = meanfield.iterate_trajectory(hp, act, q0_a=args.q0, q0_b=args.q0, c0=args.c0,
+                                        layers=args.depth or _auto_depth(scales),
+                                        quad=quad)
+    measured = []
+    for res in analysis.residuals(traj, fp):
+        try:
+            measured.append(analysis.fit_exponential(res, args.fit_floor,
+                                                     args.fit_ceiling).xi)
+        except InsufficientDataError:
+            measured.append(math.nan)
+    return [dict(xi_q_theory=scales.xi_q, xi_q_measured=measured[0],
+                 xi_c_theory=scales.xi_c, xi_c_measured=measured[1],
+                 xi_grad=scales.xi_grad)]
 
 
-def cmd_depth_scales(args) -> tuple[list[dict], list[str], int]:
-    act = builtin(args.activation)
-    quad = quadrature.rule(args.quad_order)
-
-    def point(base):
-        hp = _hyper_params(base)
-        fp = meanfield.fixed_point(hp, act, quad)
-        scales = meanfield.depth_scales(hp, act, quad, fp=fp)
-        depth = args.depth if args.depth > 0 else _auto_depth(scales)
-        xi_q_meas, xi_c_meas = measured_depth_scales(
-            hp, act, quad, fp, depth, args.q0, args.c0,
-            args.fit_floor, args.fit_ceiling)
-        return [dict(xi_q_theory=scales.xi_q, xi_q_measured=xi_q_meas,
-                     xi_c_theory=scales.xi_c, xi_c_measured=xi_c_meas,
-                     xi_grad=scales.xi_grad)]
-
-    return _sweep(((base, point) for base in _grid(args)),
-                  _POINT_COLUMNS + ["xi_q_theory", "xi_q_measured",
-                                    "xi_c_theory", "xi_c_measured", "xi_grad"])
+def _trainable_point(args, act, quad, base):
+    hp = meanfield.HyperParams(**base)
+    fp = meanfield.fixed_point(hp, act, quad)
+    xi_c = meanfield.xi_c(hp, act, fp.q_star, fp.c_star, quad)
+    return [dict(xi_c=xi_c, max_trainable_depth=6.0 * xi_c)]
 
 
-def cmd_trainable_depth(args) -> tuple[list[dict], list[str], int]:
-    act = builtin(args.activation)
-    quad = quadrature.rule(args.quad_order)
-
-    def point(base):
-        hp = _hyper_params(base)
-        fp = meanfield.fixed_point(hp, act, quad)
-        xi_c = meanfield.xi_c(hp, act, fp.q_star, fp.c_star, quad)
-        return [dict(xi_c=xi_c, max_trainable_depth=6.0 * xi_c)]
-
-    return _sweep(((base, point) for base in _grid(args)),
-                  _POINT_COLUMNS + ["xi_c", "max_trainable_depth"])
-
-
-def _simulate_inputs(args, cfg):
-    if args.input_file is not None:
+def _simulate_point(args, act, quad, base):
+    hp = meanfield.HyperParams(**base)
+    cfg = simulator.NetworkConfig(
+        depth=args.depth, width=args.width, hp=hp,
+        activation=args.activation, seed=args.seed,
+        backprop_weights=args.backprop_weights)
+    if args.input_file is None:
+        x_a, x_b = simulator.prepare_inputs(cfg, args.q0, args.q0, args.c0)
+    else:
         vectors = simulator.load_input_vectors(args.input_file, args.width)
-        x_a = vectors[0]
-        x_b = vectors[1] if len(vectors) > 1 else vectors[0]
-        return x_a, x_b
-    return simulator.prepare_inputs(cfg, args.q0, args.q0, args.c0)
+        x_a, x_b = vectors[0], vectors[min(1, len(vectors) - 1)]
+    if args.mode == "forward":
+        emp = simulator.forward_pair(cfg, x_a, x_b, args.networks)
+        traj = meanfield.iterate_trajectory(
+            hp, act, q0_a=args.q0, q0_b=args.q0, c0=args.c0,
+            layers=args.depth, quad=quad)
+        return [dict(layer=l,
+                     q_aa_hat=float(emp.q_aa_hat[l]),
+                     q_aa_stderr=float(emp.q_aa_stderr[l]),
+                     c_ab_hat=float(emp.c_ab_hat[l]),
+                     c_ab_stderr=float(emp.c_ab_stderr[l]),
+                     q_aa_theory=float(traj.q_aa[l]),
+                     c_ab_theory=float(traj.c_ab[l]))
+                for l in range(len(emp.q_aa_hat))]
+    if args.classes < 2:
+        raise DomainError(f"a softmax readout needs at least 2 classes, got {args.classes}")
+    target = np.zeros(args.classes)
+    target[0] = 1.0
+    if args.mode == "gradients":
+        norms = simulator.backward_gradients(cfg, x_a, target, args.networks)
+        fp = meanfield.fixed_point(hp, act, quad)
+        slope = -math.log(meanfield.chi1(hp, act, fp.q_star, quad))
+        return [dict(layer=l,
+                     log_grad_norm_sq=float(norms.mean_log_norm_sq[l]),
+                     log_grad_norm_stderr=float(norms.stderr_log_norm_sq[l]),
+                     theory_slope=slope)
+                for l in range(len(norms.mean_log_norm_sq))]
+    cov = simulator.backward_covariance(cfg, x_a, x_b, (target, target),
+                                        args.networks)
+    fp = meanfield.fixed_point(hp, act, quad)
+    factor = backprop.grad_covariance_factor(hp, act, fp.q_star, fp.c_star, quad)
+    return [dict(layer=l,
+                 grad_dot=float(cov.mean_dot[l]),
+                 grad_dot_stderr=float(cov.stderr_dot[l]),
+                 theory_factor=factor)
+            for l in range(len(cov.mean_dot))]
 
 
 _SIMULATE_COLUMNS = {
@@ -338,72 +334,46 @@ _SIMULATE_COLUMNS = {
     "grad-covariance": ["layer", "grad_dot", "grad_dot_stderr", "theory_factor"],
 }
 
-
-def cmd_simulate(args) -> tuple[list[dict], list[str], int]:
-    act = builtin(args.activation)
-    quad = quadrature.rule(args.quad_order)
-
-    def point(base):
-        hp = _hyper_params(base)
-        cfg = simulator.NetworkConfig(
-            depth=args.depth, width=args.width, hp=hp,
-            activation=args.activation, seed=args.seed,
-            backprop_weights=args.backprop_weights)
-        x_a, x_b = _simulate_inputs(args, cfg)
-        if args.mode == "forward":
-            emp = simulator.forward_pair(cfg, x_a, x_b, args.networks)
-            traj = meanfield.iterate_trajectory(
-                hp, act, q0_a=args.q0, q0_b=args.q0, c0=args.c0,
-                layers=args.depth, quad=quad)
-            return [dict(layer=l,
-                         q_aa_hat=float(emp.q_aa_hat[l]),
-                         q_aa_stderr=float(emp.q_aa_stderr[l]),
-                         c_ab_hat=float(emp.c_ab_hat[l]),
-                         c_ab_stderr=float(emp.c_ab_stderr[l]),
-                         q_aa_theory=float(traj.q_aa[l]),
-                         c_ab_theory=float(traj.c_ab[l]))
-                    for l in range(len(emp.q_aa_hat))]
-        target = np.zeros(args.classes)
-        target[0] = 1.0
-        if args.mode == "gradients":
-            norms = simulator.backward_gradients(cfg, x_a, target, args.networks)
-            fp = meanfield.fixed_point(hp, act, quad)
-            slope = -math.log(meanfield.chi1(hp, act, fp.q_star, quad))
-            return [dict(layer=l,
-                         log_grad_norm_sq=float(norms.mean_log_norm_sq[l]),
-                         log_grad_norm_stderr=float(norms.stderr_log_norm_sq[l]),
-                         theory_slope=slope)
-                    for l in range(len(norms.mean_log_norm_sq))]
-        cov = simulator.backward_covariance(cfg, x_a, x_b, (target, target),
-                                            args.networks)
-        fp = meanfield.fixed_point(hp, act, quad)
-        factor = backprop.grad_covariance_factor(hp, act, fp.q_star, fp.c_star, quad)
-        return [dict(layer=l,
-                     grad_dot=float(cov.mean_dot[l]),
-                     grad_dot_stderr=float(cov.stderr_dot[l]),
-                     theory_factor=factor)
-                for l in range(len(cov.mean_dot))]
-
-    return _sweep(((base, point) for base in _grid(args)),
-                  _POINT_COLUMNS + _SIMULATE_COLUMNS[args.mode])
-
-
+#: Subcommand -> (the flags it reads, the columns after its grid columns,
+#: its point function). simulate's columns depend on its mode.
 _COMMANDS = {
-    "phase-diagram": cmd_phase_diagram,
-    "critical-line": cmd_critical_line,
-    "depth-scales": cmd_depth_scales,
-    "trainable-depth": cmd_trainable_depth,
-    "simulate": cmd_simulate,
+    "phase-diagram": (_GRID_FLAGS + _OUTPUT,
+                      ["q_star", "c_star", "chi1", "phase"], _phase_point),
+    "critical-line": ((_SIGMA_B, *_OUTPUT), ["sigma_w_sq_critical"], _critical_point),
+    "depth-scales": (_GRID_FLAGS + _OUTPUT + _START + _FIT,
+                     ["xi_q_theory", "xi_q_measured", "xi_c_theory",
+                      "xi_c_measured", "xi_grad"], _depth_point),
+    "trainable-depth": (_GRID_FLAGS + _OUTPUT, ["xi_c", "max_trainable_depth"],
+                        _trainable_point),
+    "simulate": ((_flag("mode", choices=tuple(_SIMULATE_COLUMNS)),
+                  *_GRID_FLAGS, *_OUTPUT, *_START, *_NETWORK),
+                 _SIMULATE_COLUMNS, _simulate_point),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, columns, point = _COMMANDS[args.command]
+    if args.command == "simulate":
+        columns = columns[args.mode]
+    act = builtin(args.activation)
     try:
-        rows, columns, status = _COMMANDS[args.command](args)
+        quad = quadrature.rule(args.quad_order)
     except SignalPropError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
+    names = [name for name in _GRID if name in args]
+    compute = functools.partial(point, args, act, quad)
+    points = [(dict(zip(names, values)), compute)
+              for values in itertools.product(*(getattr(args, name) for name in names))]
+    # Only bounded activations have an order-to-chaos line, and only
+    # without dropout.
+    if args.command == "phase-diagram" and act.bounded and all(
+            rho == 1.0 for rho in args.rho):
+        critical = functools.partial(_critical_row, args, act, quad)
+        points += [({"sigma_b_sq": sb2, "rho": 1.0, "phase": "critical"}, critical)
+                   for sb2 in args.sigma_b_sq]
+    rows, columns, status = _sweep(points, names + columns)
     emit(rows, columns, args.fmt, args.out)
     return status
 

@@ -64,6 +64,13 @@ from .quadrature import QuadratureRule, hermite_matrix, node_values, rule
 #: |factor - 1| below this counts as criticality (depth scale +inf).
 CRITICALITY_TOL = 1e-12
 
+#: |chi1 - 1| up to this is the critical phase (``phase_of``).
+_PHASE_TOL = 1e-9
+
+#: Bracket and absolute tolerance of the critical-line solve in sigma_w^2.
+_CRITICAL_BRACKET = (1e-3, 10.0)
+_CRITICAL_TOL = 1e-9
+
 #: Evaluation cap of the bracketed root finder, and its relative
 #: tolerance floor (4 ulp) on top of each caller's absolute xtol.
 _ROOT_MAX_ITERATIONS = 100
@@ -89,10 +96,10 @@ class HyperParams:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_w_sq <= 0:
-            raise DomainError(f"sigma_w_sq must be > 0, got {self.sigma_w_sq}")
-        if self.sigma_b_sq < 0:
-            raise DomainError(f"sigma_b_sq must be >= 0, got {self.sigma_b_sq}")
+        if not 0 < self.sigma_w_sq < math.inf:
+            raise DomainError(f"sigma_w_sq must be finite and > 0, got {self.sigma_w_sq}")
+        if not 0 <= self.sigma_b_sq < math.inf:
+            raise DomainError(f"sigma_b_sq must be finite and >= 0, got {self.sigma_b_sq}")
         if not 0 < self.rho <= 1:
             raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
 
@@ -562,17 +569,16 @@ def depth_scales(hp: HyperParams, act: Activation,
 
 
 def critical_sigma_w(sigma_b_sq: float, act: Activation,
-                     quad: QuadratureRule | None = None,
-                     bracket: tuple[float, float] = (1e-3, 10.0),
-                     tol: float = 1e-9) -> float:
+                     quad: QuadratureRule | None = None) -> float:
     """Weight variance on the order-to-chaos boundary at this bias variance.
 
     Only defined without dropout (dropout has no sharp critical point).
     At sigma_b^2 = 0 the fixed point is q* = 0 and chi1 = sigma_w^2
-    phi'(0)^2 exactly, which pins the boundary analytically.
+    phi'(0)^2 exactly, which pins the boundary analytically. Elsewhere
+    Brent's method finds it in ``_CRITICAL_BRACKET`` to ``_CRITICAL_TOL``.
     """
-    if sigma_b_sq < 0:
-        raise DomainError(f"sigma_b_sq must be >= 0, got {sigma_b_sq}")
+    if not 0 <= sigma_b_sq < math.inf:
+        raise DomainError(f"sigma_b_sq must be finite and >= 0, got {sigma_b_sq}")
     if not act.bounded:
         raise ConfigurationError(
             f"critical line requires a bounded activation, got {act.name!r}"
@@ -586,19 +592,24 @@ def critical_sigma_w(sigma_b_sq: float, act: Activation,
         q_star, _ = solve_q_star(hp, act, quad)
         return chi1(hp, act, q_star, quad) - 1.0
 
-    lo, hi = bracket
+    lo, hi = _CRITICAL_BRACKET
     f_lo, f_hi = excess(lo), excess(hi)
     if not (f_lo < 0.0 < f_hi):
         raise NoFixedPointError(
             f"no critical point: chi1 - 1 does not change sign on "
             f"[{lo}, {hi}] (endpoints {f_lo}, {f_hi})"
         )
-    return _bracketed_root(excess, lo, hi, f_lo, f_hi, tol)[0]
+    return _bracketed_root(excess, lo, hi, f_lo, f_hi, _CRITICAL_TOL)[0]
 
 
-def phase_of(chi1_value: float, tol: float = 1e-9) -> str:
-    """Classify a point by its stability coefficient."""
-    if abs(chi1_value - 1.0) <= tol:
+def phase_of(chi1_value: float, rho: float = 1.0) -> str:
+    """Classify a point by its stability coefficient and dropout rate.
+
+    A point is critical when chi1 is within ``_PHASE_TOL`` of 1 and there
+    is no dropout: with rho < 1 there is no critical line, only order or
+    chaos.
+    """
+    if rho == 1.0 and abs(chi1_value - 1.0) <= _PHASE_TOL:
         return "critical"
     return "ordered" if chi1_value < 1.0 else "chaotic"
 

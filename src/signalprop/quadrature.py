@@ -14,7 +14,6 @@ Hermite matrices are cached per order; sweeps evaluate millions of these.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,19 +31,6 @@ DEFAULT_ORDER = 61
 #: Smallest accepted order. One node evaluates every expectation at z = 0
 #: alone, where the correlation map is flat and chi1 is sigma_w^2 phi'(0)^2.
 MIN_ORDER = 2
-
-_ORDER_ENV_VAR = "SIGNALPROP_QUAD_ORDER"
-
-
-def default_order() -> int:
-    """Default quadrature order, overridable via SIGNALPROP_QUAD_ORDER."""
-    raw = os.environ.get(_ORDER_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{_ORDER_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,19 +52,14 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def rule(order: int | None = None) -> QuadratureRule:
+def rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
     """Return the (cached) Gauss-Hermite rule of the given order.
 
-    ``None`` selects :func:`default_order`, which reads the environment
-    on every call rather than once per process. Orders below
-    ``MIN_ORDER`` are rejected, whether they come from the caller or from
-    the environment, and so are orders too large for numpy's rule.
+    Orders below ``MIN_ORDER`` are rejected, and so are orders too large
+    for numpy's rule.
     """
-    source = "quadrature order"
-    if order is None:
-        order, source = default_order(), _ORDER_ENV_VAR
     if order < MIN_ORDER:
-        raise DomainError(f"{source} must be >= {MIN_ORDER}, got {order}")
+        raise DomainError(f"quadrature order must be >= {MIN_ORDER}, got {order}")
     return _rule(order)
 
 

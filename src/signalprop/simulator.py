@@ -558,7 +558,11 @@ def load_input_vectors(path, width: int) -> np.ndarray:
     One vector per row, row length ``width``, no header. Lets users feed
     real dataset vectors (e.g. flattened images) into the simulator.
     """
-    raw = np.fromfile(path, dtype="<f4")
+    try:
+        raw = np.fromfile(path, dtype="<f4")
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read input file {path}: {exc.strerror or exc}") from exc
     if raw.size == 0 or raw.size % width != 0:
         raise ConfigurationError(
             f"input file {path} holds {raw.size} float32 values, not a "

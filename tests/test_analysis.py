@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from signalprop import analysis
 from signalprop.activations import builtin
-from signalprop.errors import InsufficientDataError
+from signalprop.errors import DomainError, InsufficientDataError
 from signalprop import meanfield as mf
 
 
@@ -54,6 +54,13 @@ class TestFitExponential:
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
             analysis.fit_exponential(np.array([1e-3, 1e-4, 5.0, 5.0]))
+
+    @pytest.mark.parametrize("floor, ceiling", [
+        (1e-2, 1e-2), (1e-1, 1e-2), (0.0, 1e-1), (-1e-10, 1e-1), (math.nan, 1e-1),
+    ])
+    def test_bad_window(self, floor, ceiling):
+        with pytest.raises(DomainError):
+            analysis.fit_exponential(synthetic(8.0), floor, ceiling)
 
     def test_custom_window(self):
         series = synthetic(8.0)

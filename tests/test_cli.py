@@ -37,16 +37,6 @@ class TestParsing:
     def test_rho_list(self):
         assert cli._parse_rho_list("0.9,1.0") == [0.9, 1.0]
 
-    @pytest.mark.parametrize("value", ["abc", "1"])
-    def test_bad_quad_order_env_exits_with_message(self, value, monkeypatch,
-                                                    capsys):
-        monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", value)
-        status = cli.main(["critical-line", "--sigma-b-sq", "0.05"])
-        captured = capsys.readouterr()
-        assert status == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: SIGNALPROP_QUAD_ORDER")
-
     @pytest.mark.parametrize("order", ["1", "0"])
     def test_bad_quad_order_flag_exits_with_message(self, order, capsys):
         status = cli.main(["phase-diagram", "--sigma-w-sq", "1.7",
@@ -65,19 +55,60 @@ class TestParsing:
         assert captured.err == ("error: quadrature order 400 is too large: its "
                                 "Gauss-Hermite nodes or weights are not finite\n")
 
-    def test_non_finite_rule_env_exits_with_message(self, monkeypatch, capsys):
-        monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", "400")
-        status = cli.main(["critical-line", "--sigma-b-sq", "0.05"])
-        captured = capsys.readouterr()
-        assert status == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: quadrature order 400 is too large")
-
     def test_bad_flag_exits_with_message(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["phase-diagram", "--sigma-w-sq", "1:2"])
         assert excinfo.value.code != 0
         assert "--sigma-w-sq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["critical-line", "--rho", "0.9"],  # dropout has no critical line
+        ["phase-diagram", "--q0", "0.5"],
+        ["trainable-depth", "--fit-floor", "1e-9"],
+        ["simulate", "forward", "--fit-floor", "1e-9"],
+    ])
+    def test_each_command_rejects_a_flag_it_does_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {argv[-2]}" in captured.err
+
+
+_SMALL_NET = ["--depth", "3", "--width", "20", "--networks", "2"]
+
+
+class TestErrorRows:
+    # Inputs outside the domain: one typed error row per point and exit 2,
+    # never a traceback, a nan cell or an empty table.
+    @pytest.mark.parametrize("argv, message", [
+        (["phase-diagram", "--sigma-w-sq", "inf"], "sigma_w_sq must be finite"),
+        (["phase-diagram", "--sigma-w-sq", "nan"], "sigma_w_sq must be finite"),
+        (["depth-scales", "--sigma-w-sq", "nan"], "sigma_w_sq must be finite"),
+        (["simulate", "forward", "--sigma-w-sq", "inf", *_SMALL_NET],
+         "sigma_w_sq must be finite"),
+        (["critical-line", "--sigma-b-sq", "inf"], "sigma_b_sq must be finite"),
+        (["simulate", "gradients", "--classes", "0", *_SMALL_NET],
+         "a softmax readout needs at least 2 classes"),
+        (["simulate", "gradients", "--classes", "1", *_SMALL_NET],
+         "a softmax readout needs at least 2 classes"),
+        (["simulate", "grad-covariance", "--classes", "0", *_SMALL_NET],
+         "a softmax readout needs at least 2 classes"),
+        (["simulate", "grad-covariance", "--classes", "1", *_SMALL_NET],
+         "a softmax readout needs at least 2 classes"),
+        (["simulate", "forward", "--input-file", "/nonexistent/inputs.f32", *_SMALL_NET],
+         "cannot read input file"),
+        (["depth-scales", "--fit-floor", "1e-2", "--fit-ceiling", "1e-3"],
+         "fit window needs 0 < floor < ceiling"),
+        (["depth-scales", "--fit-floor", "0"], "fit window needs 0 < floor < ceiling"),
+        (["depth-scales", "--depth", "-3"], "layers must be >= 1"),
+    ])
+    def test_error_row(self, argv, message, capsys):
+        status, out = run(argv, capsys)
+        assert status == cli.EXIT_PARTIAL
+        rows = parse_csv(out)
+        assert rows[0]["error"].startswith(message)
 
 
 class TestCriticalLine:
@@ -241,38 +272,29 @@ class TestSimulate:
 
 
 class TestParserReuse:
-    # (argv, SIGNALPROP_QUAD_ORDER): an argparse error, defaults right after
-    # explicit values, and an order changed between calls.
+    # An argparse error, defaults right after explicit values, and an order
+    # changed between calls.
     SEQUENCE = [
-        (["phase-diagram", "--sigma-w-sq", "0.5:1.5:3", "--rho", "1,0.9"], None),
-        (["phase-diagram", "--sigma-w-sq", "1:2"], None),
-        (["phase-diagram"], None),
-        (["phase-diagram", "--format", "json"], "31"),
-        (["simulate", "forward", "--depth", "2", "--width", "20", "--networks", "2"],
-         None),
+        ["phase-diagram", "--sigma-w-sq", "0.5:1.5:3", "--rho", "1,0.9"],
+        ["phase-diagram", "--sigma-w-sq", "1:2"],
+        ["phase-diagram"],
+        ["phase-diagram", "--format", "json", "--quad-order", "31"],
+        ["simulate", "forward", "--depth", "2", "--width", "20", "--networks", "2"],
     ]
 
     def test_repeated_calls_match_fresh_processes(self, monkeypatch, capsys):
         # The parser is built once per process; each call must still print
         # what a fresh interpreter prints, byte for byte.
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.delenv("SIGNALPROP_QUAD_ORDER", raising=False)
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         fresh = []
-        for argv, order in self.SEQUENCE:
-            env = dict(os.environ, PYTHONPATH=src)
-            if order is not None:
-                env["SIGNALPROP_QUAD_ORDER"] = order
+        for argv in self.SEQUENCE:
             result = subprocess.run([sys.executable, "-m", "signalprop.cli", *argv],
-                                    capture_output=True, env=env)
+                                    capture_output=True, env=dict(os.environ, PYTHONPATH=src))
             fresh.append((result.returncode, result.stdout.decode(),
                           result.stderr.decode()))
         for _ in range(2):
-            for (argv, order), expected in zip(self.SEQUENCE, fresh):
-                if order is None:
-                    monkeypatch.delenv("SIGNALPROP_QUAD_ORDER", raising=False)
-                else:
-                    monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", order)
+            for argv, expected in zip(self.SEQUENCE, fresh):
                 try:
                     status = cli.main(argv)
                 except SystemExit as exc:

@@ -52,6 +52,10 @@ class TestHyperParams:
         dict(sigma_w_sq=1.0, sigma_b_sq=-0.1),
         dict(sigma_w_sq=1.0, rho=0.0),
         dict(sigma_w_sq=1.0, rho=1.2),
+        dict(sigma_w_sq=math.inf),
+        dict(sigma_w_sq=math.nan),
+        dict(sigma_w_sq=1.0, sigma_b_sq=math.inf),
+        dict(sigma_w_sq=1.0, sigma_b_sq=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -463,14 +467,6 @@ class TestSpectrum:
         assert passes["phi"] <= len(set(traj.q_aa[:-1]) | set(traj.q_bb[:-1]))
         assert passes["d_phi"] == 0
 
-    def test_record_follows_the_order_in_the_environment(self, monkeypatch):
-        hp = mf.HyperParams(2.5, 0.05)
-        monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", "21")
-        coarse = mf.chi1(hp, TANH, 1.0)
-        monkeypatch.setenv("SIGNALPROP_QUAD_ORDER", "61")
-        assert mf.chi1(hp, TANH, 1.0) != coarse
-        assert mf.chi1(hp, TANH, 1.0) == mf.chi1(hp, TANH, 1.0, rule(61))
-
     def test_activations_sharing_a_name_do_not_share_a_record(self):
         steeper = dataclasses.replace(TANH, d_phi=lambda x: 2.0 * TANH.d_phi(x))
         hp = mf.HyperParams(1.7, 0.05)
@@ -514,6 +510,11 @@ class TestCriticalLine:
         with pytest.raises(ConfigurationError):
             mf.critical_sigma_w(0.05, LINEAR)
 
+    @pytest.mark.parametrize("sb2", [-0.1, math.inf, math.nan])
+    def test_bias_variance_outside_the_domain(self, sb2):
+        with pytest.raises(DomainError):
+            mf.critical_sigma_w(sb2, TANH)
+
 
 class TestPhase:
     @pytest.mark.parametrize("chi,expected", [
@@ -522,6 +523,13 @@ class TestPhase:
     ])
     def test_phase_of(self, chi, expected):
         assert mf.phase_of(chi) == expected
+
+    @pytest.mark.parametrize("chi,expected", [
+        (0.5, "ordered"), (1.0 - 5e-10, "ordered"), (1.0, "chaotic"),
+        (1.0 + 5e-10, "chaotic"),
+    ])
+    def test_no_critical_phase_with_dropout(self, chi, expected):
+        assert mf.phase_of(chi, rho=0.9) == expected
 
 
 #: The variance at which the 61-node hard_tanh map at (1.7, 0.05) stops moving.

@@ -394,6 +394,8 @@ class TestInputFile:
 
     def test_bad_length(self, tmp_path):
         path = tmp_path / "vectors.f32"
+        with pytest.raises(ConfigurationError):  # no file at all
+            sim.load_input_vectors(path, 12)
         np.arange(10, dtype="<f4").tofile(path)
         with pytest.raises(ConfigurationError):
             sim.load_input_vectors(path, 12)
