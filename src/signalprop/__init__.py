@@ -27,6 +27,7 @@ from .simulator import (
     backward_covariance,
     backward_gradients,
     forward_pair,
+    input_moments,
     load_input_vectors,
     prepare_inputs,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "forward_pair",
     "gauss_expect_1d",
     "grad_covariance_factor",
+    "input_moments",
     "iterate_trajectory",
     "load_input_vectors",
     "prepare_inputs",

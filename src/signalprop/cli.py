@@ -7,22 +7,28 @@ phase-diagram     q*, c*, chi1, and phase over a (sigma_w^2, sigma_b^2, rho)
                   activation is bounded.
 critical-line     sigma_w^2(sigma_b^2) on the order-to-chaos boundary.
 depth-scales      theoretical and measured (residual-fit) depth scales.
-simulate          Monte Carlo on finite networks: forward moments, gradient
-                  norms, or gradient covariances, with theory columns.
+simulate MODE     Monte Carlo on finite networks with theory columns: forward
+                  moments (``forward``), gradient norms (``gradients``) or
+                  gradient covariances (``grad-covariance``).
 trainable-depth   the 6 * xi_c maximum-trainable-depth overlay data.
 
-Each subcommand takes only the flags it reads. All take --activation,
---format, --out and --quad-order, and the grid flags: --sigma-b-sq, and
-also --sigma-w-sq and --rho except for critical-line, since dropout
-(rho < 1) has no critical line. depth-scales adds --q0, --c0, --depth,
---fit-floor and --fit-ceiling; simulate adds --q0, --c0, its mode and the
-network flags --depth, --width, --networks, --seed, --backprop-weights,
---classes and --input-file.
+Each command, and each simulate mode, takes only the flags it reads; a
+mode's flags follow the mode. All take --activation, --format, --out and
+--quad-order, and the grid flags: --sigma-b-sq, and also --sigma-w-sq and
+--rho except for critical-line, since dropout (rho < 1) has no critical
+line. depth-scales adds --q0, --c0, --depth, --fit-floor and
+--fit-ceiling. The simulate modes add --q0 and the network flags --depth,
+--width, --networks, --seed and --input-file; ``forward`` and
+``grad-covariance`` add --c0 (``gradients`` runs one input), and
+``gradients`` and ``grad-covariance`` the readout flags --backprop-weights
+and --classes. --input-file excludes --q0 and --c0: the file fixes the
+inputs.
 
-One table, ``_COMMANDS``, maps each subcommand to its flags, its columns
-and one point function ``(args, act, quad, base) -> rows``, where ``base``
-holds one grid point's values; ``main`` runs every subcommand through one
-sweep driver.
+One table, ``_COMMANDS``, has a row per command and simulate mode: its
+flags, its columns and one point function ``(args, act, quad, base) ->
+rows``, where ``base`` holds one grid point's values. ``build_parser``
+makes one parser per row, which reports any flag the row does not read,
+and ``main`` runs every row through one sweep driver.
 
 Numeric cells use 17 significant digits in CSV so emitted tables parse
 back to the same values. Infinities are the strings ``inf``/``-inf`` in
@@ -85,6 +91,14 @@ def _flag(*names, **options):
     return names, options
 
 
+class _StoreStart(argparse.Action):
+    """Store --q0 or --c0 and note in ``start_given`` that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.start_given = self.option_strings[0]
+
+
 # String defaults go through ``type`` on every parse, so no parsed
 # namespace shares a list with the (cached) parser.
 _SIGMA_W = _flag("--sigma-w-sq", type=_parse_range, default="1.0",
@@ -100,14 +114,13 @@ _OUTPUT = (
           help="output format"),
     _flag("--out", default=None, metavar="PATH", help="output file (default: stdout)"),
     _flag("--quad-order", type=int, default=quadrature.DEFAULT_ORDER,
-          help=f"Gauss-Hermite quadrature order (at least {quadrature.MIN_ORDER})"),
+          help=f"Gauss-Hermite quadrature order ({quadrature.MIN_ORDER} to "
+               f"{quadrature.MAX_ORDER})"),
 )
-_START = (
-    _flag("--q0", type=float, default=meanfield.DEFAULT_Q0,
-          help="initial pre-activation variance of trajectories and simulate inputs"),
-    _flag("--c0", type=float, default=meanfield.DEFAULT_C0,
-          help="initial pre-activation correlation"),
-)
+_Q0 = _flag("--q0", type=float, default=meanfield.DEFAULT_Q0, action=_StoreStart,
+            help="initial pre-activation variance of trajectories and simulate inputs")
+_C0 = _flag("--c0", type=float, default=meanfield.DEFAULT_C0, action=_StoreStart,
+            help="initial pre-activation correlation")
 _FIT = (
     _flag("--depth", type=int, default=0,
           help="trajectory length for residual fits (0 = choose from the "
@@ -123,13 +136,15 @@ _NETWORK = (
     _flag("--networks", type=int, default=50,
           help="ensemble size (number of sampled networks)"),
     _flag("--seed", type=int, default=0, help="master RNG seed"),
+    _flag("--input-file", default=None, metavar="PATH",
+          help="raw little-endian float32 rows (length = width) to use as "
+               "inputs instead of synthetic vectors; excludes --q0 and --c0"),
+)
+_READOUT = (
     _flag("--backprop-weights", default="tied", choices=simulator.BACKPROP_MODES,
           help="backward-pass weight sampling mode"),
     _flag("--classes", type=int, default=simulator.DEFAULT_N_CLASSES,
           help="softmax readout width"),
-    _flag("--input-file", default=None, metavar="PATH",
-          help="raw little-endian float32 rows (length = width) to use as "
-               "inputs instead of synthetic vectors"),
 )
 _GRID_FLAGS = (_SIGMA_W, _SIGMA_B, _RHO)
 
@@ -140,17 +155,32 @@ _GRID = ("sigma_w_sq", "sigma_b_sq", "rho")
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: it holds no state
-    between ``parse_args`` calls."""
+    between ``parse_args`` calls.
+
+    A row of ``_COMMANDS`` named "command mode" is the parser of ``mode``
+    under the parser of ``command``. Each row's parser holds the row and
+    itself in the defaults ``row`` and ``leaf``.
+    """
+    def add(subparsers, name):
+        return subparsers.add_parser(
+            name, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+
     parser = argparse.ArgumentParser(
         prog="signalprop",
         description="Mean-field signal propagation in wide random networks.",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (flags, _, _) in _COMMANDS.items():
-        p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        for names, options in flags:
-            p.add_argument(*names, **options)
+    # "" holds the commands; a command with modes holds its modes.
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, row in _COMMANDS.items():
+        command, _, mode = name.partition(" ")
+        if mode and command not in subparsers:
+            subparsers[command] = add(subparsers[""], command).add_subparsers(
+                dest="mode", required=True)
+        leaf = add(subparsers[command if mode else ""], mode or command)
+        for names, options in row[0]:
+            leaf.add_argument(*names, **options)
+        leaf.set_defaults(row=row, leaf=leaf)
     return parser
 
 
@@ -278,84 +308,117 @@ def _trainable_point(args, act, quad, base):
     return [dict(xi_c=xi_c, max_trainable_depth=6.0 * xi_c)]
 
 
-def _simulate_point(args, act, quad, base):
-    hp = meanfield.HyperParams(**base)
-    cfg = simulator.NetworkConfig(
-        depth=args.depth, width=args.width, hp=hp,
-        activation=args.activation, seed=args.seed,
-        backprop_weights=args.backprop_weights)
+def _config(args, base, **options) -> simulator.NetworkConfig:
+    """The network of one grid point; ``options`` are the readout's."""
+    return simulator.NetworkConfig(
+        depth=args.depth, width=args.width, hp=meanfield.HyperParams(**base),
+        activation=args.activation, seed=args.seed, **options)
+
+
+def _inputs(args, cfg, c0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first two rows of --input-file (its first row twice if it holds
+    one), else synthetic vectors with layer-0 moments (q0, q0, c0)."""
     if args.input_file is None:
-        x_a, x_b = simulator.prepare_inputs(cfg, args.q0, args.q0, args.c0)
-    else:
-        vectors = simulator.load_input_vectors(args.input_file, args.width)
-        x_a, x_b = vectors[0], vectors[min(1, len(vectors) - 1)]
-    if args.mode == "forward":
-        emp = simulator.forward_pair(cfg, x_a, x_b, args.networks)
-        traj = meanfield.iterate_trajectory(
-            hp, act, q0_a=args.q0, q0_b=args.q0, c0=args.c0,
-            layers=args.depth, quad=quad)
-        return [dict(layer=l,
-                     q_aa_hat=float(emp.q_aa_hat[l]),
-                     q_aa_stderr=float(emp.q_aa_stderr[l]),
-                     c_ab_hat=float(emp.c_ab_hat[l]),
-                     c_ab_stderr=float(emp.c_ab_stderr[l]),
-                     q_aa_theory=float(traj.q_aa[l]),
-                     c_ab_theory=float(traj.c_ab[l]))
-                for l in range(len(emp.q_aa_hat))]
+        return simulator.prepare_inputs(cfg, args.q0, args.q0, c0)
+    vectors = simulator.load_input_vectors(args.input_file, args.width)
+    return vectors[0], vectors[min(1, len(vectors) - 1)]
+
+
+def _target(args) -> np.ndarray:
+    """One-hot softmax target on the first of --classes classes."""
     if args.classes < 2:
         raise DomainError(f"a softmax readout needs at least 2 classes, got {args.classes}")
     target = np.zeros(args.classes)
     target[0] = 1.0
-    if args.mode == "gradients":
-        norms = simulator.backward_gradients(cfg, x_a, target, args.networks)
-        fp = meanfield.fixed_point(hp, act, quad)
-        slope = -math.log(meanfield.chi1(hp, act, fp.q_star, quad))
-        return [dict(layer=l,
-                     log_grad_norm_sq=float(norms.mean_log_norm_sq[l]),
-                     log_grad_norm_stderr=float(norms.stderr_log_norm_sq[l]),
-                     theory_slope=slope)
-                for l in range(len(norms.mean_log_norm_sq))]
-    cov = simulator.backward_covariance(cfg, x_a, x_b, (target, target),
-                                        args.networks)
-    fp = meanfield.fixed_point(hp, act, quad)
-    factor = backprop.grad_covariance_factor(hp, act, fp.q_star, fp.c_star, quad)
-    return [dict(layer=l,
-                 grad_dot=float(cov.mean_dot[l]),
-                 grad_dot_stderr=float(cov.stderr_dot[l]),
-                 theory_factor=factor)
-            for l in range(len(cov.mean_dot))]
+    return target
 
 
-_SIMULATE_COLUMNS = {
-    "forward": ["layer", "q_aa_hat", "q_aa_stderr", "c_ab_hat", "c_ab_stderr",
-                "q_aa_theory", "c_ab_theory"],
-    "gradients": ["layer", "log_grad_norm_sq", "log_grad_norm_stderr",
-                  "theory_slope"],
-    "grad-covariance": ["layer", "grad_dot", "grad_dot_stderr", "theory_factor"],
-}
+def _layer_rows(**columns) -> list[dict]:
+    """One row per layer of the first column; a scalar column repeats on
+    every row."""
+    layers = len(next(iter(columns.values())))
+    return [dict(layer=l, **{name: float(value if np.ndim(value) == 0 else value[l])
+                             for name, value in columns.items()})
+            for l in range(layers)]
 
-#: Subcommand -> (the flags it reads, the columns after its grid columns,
-#: its point function). simulate's columns depend on its mode.
+
+def _forward_point(args, act, quad, base):
+    """Pre-activation moments of an input pair, and the theory trajectory
+    started at the moments the pair realizes at layer 0."""
+    cfg = _config(args, base)
+    x_a, x_b = _inputs(args, cfg, args.c0)
+    emp = simulator.forward_pair(cfg, x_a, x_b, args.networks)
+    q_a, q_b, c = simulator.input_moments(cfg, x_a, x_b)
+    traj = meanfield.iterate_trajectory(cfg.hp, act, q0_a=q_a, q0_b=q_b, c0=c,
+                                        layers=args.depth, quad=quad)
+    return _layer_rows(q_aa_hat=emp.q_aa_hat, q_aa_stderr=emp.q_aa_stderr,
+                       c_ab_hat=emp.c_ab_hat, c_ab_stderr=emp.c_ab_stderr,
+                       q_aa_theory=traj.q_aa, c_ab_theory=traj.c_ab)
+
+
+def _gradients_point(args, act, quad, base):
+    """Log squared gradient norms of one input, and the theory slope
+    -log chi1 per layer."""
+    cfg = _config(args, base, backprop_weights=args.backprop_weights)
+    # One input: the correlation passed on is never realized.
+    x, _ = _inputs(args, cfg, meanfield.DEFAULT_C0)
+    norms = simulator.backward_gradients(cfg, x, _target(args), args.networks)
+    fp = meanfield.fixed_point(cfg.hp, act, quad)
+    chi = meanfield.chi1(cfg.hp, act, fp.q_star, quad)
+    # chi1 = 0: the gradients vanish within one layer.
+    return _layer_rows(log_grad_norm_sq=norms.mean_log_norm_sq,
+                       log_grad_norm_stderr=norms.stderr_log_norm_sq,
+                       theory_slope=-math.log(chi) if chi > 0 else math.inf)
+
+
+def _grad_covariance_point(args, act, quad, base):
+    """Gradient dot products of an input pair, and the theory factor per
+    layer at the fixed point."""
+    cfg = _config(args, base, backprop_weights=args.backprop_weights)
+    x_a, x_b = _inputs(args, cfg, args.c0)
+    target = _target(args)
+    cov = simulator.backward_covariance(cfg, x_a, x_b, (target, target), args.networks)
+    fp = meanfield.fixed_point(cfg.hp, act, quad)
+    return _layer_rows(grad_dot=cov.mean_dot, grad_dot_stderr=cov.stderr_dot,
+                       theory_factor=backprop.grad_covariance_factor(
+                           cfg.hp, act, fp.q_star, fp.c_star, quad))
+
+
+_SIMULATE = _GRID_FLAGS + _OUTPUT + (_Q0,)
+
+#: Command or "command mode" -> (the flags it reads, the columns after its
+#: grid columns, its point function).
 _COMMANDS = {
     "phase-diagram": (_GRID_FLAGS + _OUTPUT,
                       ["q_star", "c_star", "chi1", "phase"], _phase_point),
     "critical-line": ((_SIGMA_B, *_OUTPUT), ["sigma_w_sq_critical"], _critical_point),
-    "depth-scales": (_GRID_FLAGS + _OUTPUT + _START + _FIT,
+    "depth-scales": (_GRID_FLAGS + _OUTPUT + (_Q0, _C0) + _FIT,
                      ["xi_q_theory", "xi_q_measured", "xi_c_theory",
                       "xi_c_measured", "xi_grad"], _depth_point),
     "trainable-depth": (_GRID_FLAGS + _OUTPUT, ["xi_c", "max_trainable_depth"],
                         _trainable_point),
-    "simulate": ((_flag("mode", choices=tuple(_SIMULATE_COLUMNS)),
-                  *_GRID_FLAGS, *_OUTPUT, *_START, *_NETWORK),
-                 _SIMULATE_COLUMNS, _simulate_point),
+    "simulate forward": (_SIMULATE + (_C0,) + _NETWORK,
+                         ["layer", "q_aa_hat", "q_aa_stderr", "c_ab_hat",
+                          "c_ab_stderr", "q_aa_theory", "c_ab_theory"],
+                         _forward_point),
+    "simulate gradients": (_SIMULATE + _NETWORK + _READOUT,
+                           ["layer", "log_grad_norm_sq", "log_grad_norm_stderr",
+                            "theory_slope"], _gradients_point),
+    "simulate grad-covariance": (_SIMULATE + (_C0,) + _NETWORK + _READOUT,
+                                 ["layer", "grad_dot", "grad_dot_stderr",
+                                  "theory_factor"], _grad_covariance_point),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _, columns, point = _COMMANDS[args.command]
-    if args.command == "simulate":
-        columns = columns[args.mode]
+    args, unread = build_parser().parse_known_args(argv)
+    # Reported by the command's own parser, so its usage is the one shown.
+    if unread:
+        args.leaf.error(f"unrecognized arguments: {' '.join(unread)}")
+    if getattr(args, "input_file", None) is not None and hasattr(args, "start_given"):
+        args.leaf.error(f"argument {args.start_given}: not allowed with argument "
+                        "--input-file: the file fixes the inputs")
+    _, columns, point = args.row
     act = builtin(args.activation)
     try:
         quad = quadrature.rule(args.quad_order)

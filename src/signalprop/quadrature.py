@@ -32,6 +32,11 @@ DEFAULT_ORDER = 61
 #: alone, where the correlation map is flat and chi1 is sigma_w^2 phi'(0)^2.
 MIN_ORDER = 2
 
+#: Largest accepted order. From order 371 on, numpy's Gauss-Hermite weights
+#: are all 0 (371) or nan (numpy 2.4). It is checked before the rule is
+#: built, since building one takes time and memory growing as order^2.
+MAX_ORDER = 370
+
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
@@ -55,12 +60,18 @@ class QuadratureRule:
 def rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
     """Return the (cached) Gauss-Hermite rule of the given order.
 
-    Orders below ``MIN_ORDER`` are rejected, and so are orders too large
-    for numpy's rule.
+    Orders outside ``MIN_ORDER`` .. ``MAX_ORDER`` are rejected.
     """
     if order < MIN_ORDER:
         raise DomainError(f"quadrature order must be >= {MIN_ORDER}, got {order}")
+    if order > MAX_ORDER:
+        raise _too_large(order)
     return _rule(order)
+
+
+def _too_large(order: int) -> DomainError:
+    return DomainError(f"quadrature order {order} is too large: its "
+                       "Gauss-Hermite nodes or weights are not finite")
 
 
 @lru_cache(maxsize=None)
@@ -69,14 +80,13 @@ def _rule(order: int) -> QuadratureRule:
 
     The physicists' rule integrates exp(-x^2) g(x); substituting
     z = sqrt(2) x and dividing the weights by sqrt(pi) turns it into the
-    standard Gaussian measure. From order 375 on, numpy's weights
-    overflow to nan, and such an order is rejected.
+    standard Gaussian measure. A rule whose weights do not sum to 1 (from
+    a numpy whose weights fail below ``MAX_ORDER``) is rejected.
     """
     with np.errstate(all="ignore"):
         x, w = hermgauss(order)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise DomainError(f"quadrature order {order} is too large: its "
-                          "Gauss-Hermite nodes or weights are not finite")
+    if not (np.isfinite(x).all() and math.isclose(w.sum(), math.sqrt(math.pi))):
+        raise _too_large(order)
     return QuadratureRule(
         order=order,
         nodes=np.sqrt(2.0) * x,

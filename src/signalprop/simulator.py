@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import Activation, builtin
-from .errors import ConfigurationError, DomainError, NumericError
+from .errors import ConfigurationError, DegenerateVarianceError, DomainError, NumericError
 from .meanfield import HyperParams
 
 # Stream roles. The inputs' stream is seeded from the spawn key
@@ -323,12 +323,14 @@ def _tied_products(fresh: np.ndarray, delta: np.ndarray, normals: np.ndarray,
 def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
                    c0: float) -> tuple[np.ndarray, np.ndarray]:
     """Construct input vectors whose first pre-activation moments are
-    (q0_a, q0_b, c0) on average over the weight ensemble.
+    (q0_a, q0_b, c0) on average over the weights, biases and masks.
 
-    With dropout and c0 close to 1 the requested correlation may be
-    unrealizable (independent masks strictly decorrelate identical
-    inputs); the geometric overlap is then clamped to its maximum, which
-    reproduces the theoretical correlation drop at the first layer.
+    The inputs realize only correlations c with |c sqrt(q0_a q0_b) -
+    sigma_b^2| <= rho sqrt((q0_a - sigma_b^2)(q0_b - sigma_b^2)):
+    independent dropout masks decorrelate even identical inputs, and the
+    shared bias correlates even opposite ones. A c0 outside that range is
+    clamped to its nearer end (the cosine of the inputs' angle is clamped
+    to +/-1); :func:`input_moments` gives the moments realized.
     """
     hp = cfg.hp
     for name, q0 in (("q0_a", q0_a), ("q0_b", q0_b)):
@@ -363,6 +365,26 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
     x_a = math.sqrt(norm_a_sq) * e1
     x_b = math.sqrt(norm_b_sq) * (cos_theta * e1 + sin_theta * e2)
     return x_a, x_b
+
+
+def input_moments(cfg: NetworkConfig, x_a: np.ndarray,
+                  x_b: np.ndarray) -> tuple[float, float, float]:
+    """The layer-0 pre-activation moments (q_a, q_b, c) that the inputs
+    realize on average over the weights, biases and masks: the inverse of
+    :func:`prepare_inputs`.
+
+    E[z_a z_b] = sigma_w^2 (x_a . x_b) / N + sigma_b^2 for two inputs with
+    independent masks, and a mask scales its own input's squared norm by
+    1 / rho on average.
+    """
+    hp, n = cfg.hp, cfg.width
+    q_a = hp.sigma_w_sq * float(x_a @ x_a) / (hp.rho * n) + hp.sigma_b_sq
+    q_b = hp.sigma_w_sq * float(x_b @ x_b) / (hp.rho * n) + hp.sigma_b_sq
+    q_ab = hp.sigma_w_sq * float(x_a @ x_b) / n + hp.sigma_b_sq
+    if not 0.0 < q_a * q_b < math.inf:
+        raise DegenerateVarianceError(
+            f"input correlation undefined for q_a={q_a}, q_b={q_b}")
+    return q_a, q_b, min(1.0, max(-1.0, q_ab / math.sqrt(q_a * q_b)))
 
 
 def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,

@@ -23,6 +23,9 @@ def parse_csv(text):
     return rows
 
 
+_SMALL_NET = ["--depth", "3", "--width", "20", "--networks", "2"]
+
+
 class TestParsing:
     def test_range_forms(self):
         assert cli._parse_range("1.7") == [1.7]
@@ -66,6 +69,15 @@ class TestParsing:
         ["phase-diagram", "--q0", "0.5"],
         ["trainable-depth", "--fit-floor", "1e-9"],
         ["simulate", "forward", "--fit-floor", "1e-9"],
+        # forward has no readout; gradients runs one input
+        ["simulate", "forward", *_SMALL_NET, "--classes", "0",
+         "--backprop-weights", "independent"],
+        ["simulate", "forward", *_SMALL_NET, "--classes", "3"],
+        ["simulate", "gradients", *_SMALL_NET, "--c0", "-0.9"],
+        # the file fixes the inputs
+        ["simulate", "grad-covariance", *_SMALL_NET, "--input-file", "inputs.f32",
+         "--q0", "0.5"],
+        ["simulate", "forward", "--c0", "0.5", "--input-file", "inputs.f32"],
     ])
     def test_each_command_rejects_a_flag_it_does_not_read(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -73,10 +85,20 @@ class TestParsing:
         captured = capsys.readouterr()
         assert excinfo.value.code == 2
         assert captured.out == ""
-        assert f"unrecognized arguments: {argv[-2]}" in captured.err
+        # The command's own usage and error line, naming the flag.
+        command = " ".join(argv[:2] if argv[0] == "simulate" else argv[:1])
+        assert captured.err.startswith(f"usage: signalprop {command} [-h]")
+        error = captured.err.splitlines()[-1]
+        assert error.startswith(f"signalprop {command}: error: ")
+        assert argv[-2] in error
 
-
-_SMALL_NET = ["--depth", "3", "--width", "20", "--networks", "2"]
+    def test_oversized_quad_order_is_rejected_before_the_rule_is_built(self, capsys):
+        # hermgauss would take minutes and gigabytes at this order.
+        status = cli.main(["critical-line", "--quad-order", str(10 ** 6)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: quadrature order 1000000 is too large")
 
 
 class TestErrorRows:
@@ -269,6 +291,75 @@ class TestSimulate:
         rows = parse_csv(out)
         assert len(rows) == 1
         assert "not finite" in rows[0]["error"]
+
+
+class TestSimulateModes:
+    # A value other than the default for every flag a simulate mode takes.
+    CHANGED = {
+        "--sigma-w-sq": "1.3", "--sigma-b-sq": "0.1", "--rho": "0.9",
+        "--activation": "hard_tanh", "--format": "json", "--quad-order": "31",
+        "--q0": "0.5", "--c0": "0.3", "--depth": "3", "--width": "30",
+        "--networks": "3", "--seed": "1", "--backprop-weights": "independent",
+        "--classes": "3",
+    }
+
+    @pytest.mark.parametrize("mode", ["forward", "gradients", "grad-covariance"])
+    def test_every_flag_changes_the_output(self, mode, tmp_path, capsys):
+        path = tmp_path / "inputs.f32"
+        np.random.default_rng(0).standard_normal((2, 20)).astype("<f4").tofile(path)
+        changed = dict(self.CHANGED, **{"--out": str(tmp_path / "table.csv"),
+                                        "--input-file": str(path)})
+        base = ["simulate", mode, "--depth", "2", "--width", "20", "--networks", "2"]
+        status, default = run(base, capsys)
+        assert status == 0
+        flags = [names[0] for names, _ in cli._COMMANDS[f"simulate {mode}"][0]]
+        assert len(flags) == {"forward": 14, "gradients": 15, "grad-covariance": 16}[mode]
+        for flag in flags:
+            status, out = run(base + [flag, changed[flag]], capsys)
+            assert status == 0, flag
+            assert out != default, flag
+
+    def test_file_input_theory_starts_at_the_realized_moments(self, tmp_path, capsys):
+        path = tmp_path / "inputs.f32"
+        vectors = np.random.default_rng(0).standard_normal((2, 32)).astype("<f4")
+        vectors.tofile(path)
+        status, out = run(["simulate", "forward", "--sigma-w-sq", "1.7",
+                           "--sigma-b-sq", "0.05", "--rho", "0.9", "--depth", "2",
+                           "--width", "32", "--networks", "2",
+                           "--input-file", str(path)], capsys)
+        assert status == 0
+        row = parse_csv(out)[0]
+        x_a, x_b = vectors.astype(float)
+        q_a = 1.7 * (x_a @ x_a) / (0.9 * 32) + 0.05
+        q_b = 1.7 * (x_b @ x_b) / (0.9 * 32) + 0.05
+        c = (1.7 * (x_a @ x_b) / 32 + 0.05) / math.sqrt(q_a * q_b)
+        assert math.isclose(float(row["q_aa_theory"]), q_a, rel_tol=1e-14)
+        assert math.isclose(float(row["c_ab_theory"]), c, rel_tol=1e-14)
+
+    def test_clamped_correlation_theory_tracks_monte_carlo(self, capsys):
+        # Independent masks at rho = 0.9 cap the inputs' correlation at
+        # 0.90625 below the requested 0.99; the theory starts there too.
+        status, out = run(["simulate", "forward", "--sigma-w-sq", "1.7",
+                           "--sigma-b-sq", "0.05", "--rho", "0.9", "--c0", "0.99",
+                           "--depth", "3", "--width", "1000", "--networks", "50"],
+                          capsys)
+        assert status == 0
+        rows = parse_csv(out)
+        assert math.isclose(float(rows[0]["c_ab_theory"]), 0.90625, rel_tol=1e-14)
+        for row in rows:
+            for hat, stderr, theory in (("q_aa_hat", "q_aa_stderr", "q_aa_theory"),
+                                        ("c_ab_hat", "c_ab_stderr", "c_ab_theory")):
+                assert abs(float(row[hat]) - float(row[theory])) <= 5 * float(row[stderr])
+
+    def test_zero_chi1_gives_an_infinite_slope(self, capsys):
+        # On the 2-node rule hard_tanh' vanishes at both nodes sqrt(q*) * +/-1.
+        status, out = run(["simulate", "gradients", "--activation", "hard_tanh",
+                           "--quad-order", "2", "--sigma-w-sq", "4", "--depth", "2",
+                           "--width", "10", "--networks", "2"], capsys)
+        assert status == 0
+        rows = parse_csv(out)
+        assert len(rows) == 2
+        assert all(row["theory_slope"] == "inf" for row in rows)
 
 
 class TestParserReuse:

@@ -16,6 +16,7 @@ from signalprop import meanfield as mf
 from signalprop.activations import builtin
 from signalprop.errors import DomainError, NumericError
 from signalprop.quadrature import (
+    MAX_ORDER,
     QuadratureRule,
     gauss_expect_1d,
     rule,
@@ -47,6 +48,15 @@ class TestRule:
     def test_invalid_order(self, order):
         with pytest.raises(DomainError):
             rule(order)
+
+    def test_largest_order_builds(self):
+        # The bound is the largest order whose weights are finite and not
+        # all 0.
+        quad = rule(MAX_ORDER)
+        assert np.isfinite(quad.nodes).all() and np.isfinite(quad.weights).all()
+        assert math.isclose(float(np.sum(quad.weights)), 1.0, abs_tol=1e-12)
+        with pytest.raises(DomainError, match="too large"):
+            rule(MAX_ORDER + 1)
 
     def test_frozen(self):
         quad = rule(21)

@@ -5,9 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalprop.activations import builtin
-from signalprop.errors import ConfigurationError, DomainError
+from signalprop.errors import ConfigurationError, DegenerateVarianceError, DomainError
 from signalprop import meanfield as mf
 from signalprop import simulator as sim
 
@@ -53,6 +55,29 @@ class TestInputs:
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 1.0)
         cos = float(x_a @ x_b) / (np.linalg.norm(x_a) * np.linalg.norm(x_b))
         assert math.isclose(cos, 1.0, abs_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma_w_sq=st.floats(0.1, 10.0), sigma_b_sq=st.floats(0.0, 1.0),
+           rho=st.floats(0.1, 1.0), excess=st.floats(1e-3, 10.0),
+           c0=st.floats(-1.0, 1.0), width=st.integers(2, 300), seed=st.integers(0, 2 ** 32))
+    def test_input_moments_invert_prepare_inputs(self, sigma_w_sq, sigma_b_sq, rho,
+                                                 excess, c0, width, seed):
+        cfg = make_config(hp=mf.HyperParams(sigma_w_sq, sigma_b_sq, rho=rho),
+                          width=width, seed=seed)
+        q0 = sigma_b_sq + excess
+        q_a, q_b, c = sim.input_moments(cfg, *sim.prepare_inputs(cfg, q0, q0, c0))
+        assert math.isclose(q_a, q0, rel_tol=1e-13)
+        assert math.isclose(q_b, q0, rel_tol=1e-13)
+        # Masks and the shared bias bound the realizable correlation;
+        # a c0 beyond the bounds is clamped to them.
+        low, high = (sigma_b_sq - rho * excess) / q0, (sigma_b_sq + rho * excess) / q0
+        assert abs(c - min(high, max(low, c0))) <= 1e-13
+
+    def test_input_moments_of_zero_inputs(self):
+        cfg = make_config(hp=mf.HyperParams(1.7, 0.0))
+        zero = np.zeros(cfg.width)
+        with pytest.raises(DegenerateVarianceError):
+            sim.input_moments(cfg, zero, zero)
 
     def test_rejects_q0_below_bias_floor(self):
         cfg = make_config()
