@@ -11,20 +11,21 @@ pair for moments and gradient covariances) share each sampled network,
 each input with its own dropout masks. Per layer it returns the k x k Gram
 matrix of the pre-activations and, given targets, of the weight gradients.
 
-No N x N weight matrix is drawn. A layer only multiplies k vectors by W,
-and by Gaussian conditioning (Bolthausen; Yang, Tensor Programs, arXiv
-1902.04760) those products are sampled exactly, at any width, from N k
-normals. The biases are one more column of W, on an input coordinate
-sigma_b / sqrt(sigma_w^2/N) shared by every input. With F the k x (N + 1)
-effective inputs so extended, F = L Q (L L^T = F F^T, Q with orthonormal
-rows) and g k x N standard normals, the forward pass is
-z = sqrt(sigma_w^2/N) L g. Given that draw, W = sqrt(sigma_w^2/N) g^T Q
-+ W~ (I - Q^T Q) with W~ independent, so the ``tied`` backward pass is
-delta W = sqrt(sigma_w^2/N) (delta g^T) Q + delta W~ (I - Q^T Q) without
-its bias coordinate, and the ``independent`` one is the fresh term
-delta W~ alone, drawn like the forward pass from delta's Gram matrix. Only
-the softmax readout (C x N, C = 10 classes, and its C biases) is a dense
-draw.
+No weight matrix is drawn. A layer only multiplies k vectors by W, and by
+Gaussian conditioning (Bolthausen; Yang, Tensor Programs, arXiv
+1902.04760) those products are sampled exactly, at any width, from k
+normals per output unit. The biases are one more column of W, on an input
+coordinate sigma_b / sqrt(sigma_w^2/N) shared by every input. With F the
+k x (N + 1) effective inputs so extended, F = L Q (L L^T = F F^T, Q with
+orthonormal rows) and g k x M standard normals for M output units, the
+forward pass is z = sqrt(sigma_w^2/N) L g. Given that draw,
+W = sqrt(sigma_w^2/N) g^T Q + W~ (I - Q^T Q) with W~ independent, so the
+``tied`` backward pass is delta W = sqrt(sigma_w^2/N) (delta g^T) Q +
+delta W~ (I - Q^T Q) without its bias coordinate, and the ``independent``
+one is the fresh term delta W~ alone, drawn like the forward pass from
+delta's Gram matrix. The softmax readout (C = 10 classes by default) is
+weight layer ``depth``, sampled like the hidden layers at M = C: its
+pre-activations are the logits.
 
 Networks run in blocks: every array of a block is (k, B, N), one slice per
 network, and each network's arithmetic is its own (a network is never
@@ -56,11 +57,9 @@ from .meanfield import HyperParams
 # Stream roles. The inputs' stream is seeded from the spawn key
 # (0, 0, _ROLE_INPUT); the network streams are keyed by position.
 _ROLE_WEIGHTS = 1
-_ROLE_BIASES = 2
 _ROLE_MASK = 3
 _ROLE_BACKWARD = 4
 _ROLE_INPUT = 5
-_ROLE_READOUT = 6
 
 #: A residual below this fraction of its row's norm is dropped: its square
 #: is below the rounding of a float64 Gram entry.
@@ -169,8 +168,10 @@ class _Streams:
                 "buffer": zeros.copy(), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def draw(self, key: tuple[int, int, int], method: str, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the next values of stream ``key`` from the
-        generator method ``method`` (``standard_normal`` or ``random``)."""
+        """Fill ``out`` with the next values of stream ``key`` = (layer,
+        role, row) from the generator method ``method`` (``standard_normal``
+        or ``random``). ``out.shape[0]`` is the number of networks in the
+        block; each takes the next ``out.shape[1:]`` values of the stream."""
         state = self._states.get(key)
         self._bits.state = self._start(*key) if state is None else state
         getattr(self._generator, method)(out=out)
@@ -178,27 +179,11 @@ class _Streams:
         return out
 
 
-def _normals(streams: _Streams, layer: int, role: int, row: int,
-             out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the next standard normals of stream (layer, role, row).
-
-    ``out.shape[0]`` is the number of networks in the block; each takes
-    the next ``out.shape[1:]`` values of the stream.
-    """
-    return streams.draw((layer, role, row), "standard_normal", out)
-
-
-def _masks(streams: _Streams, layer: int, row: int, shape: tuple[int, int],
-           rho: float) -> np.ndarray:
-    """Dropout keep-masks over rho (0 or 1/rho) of one input row at one
-    layer, ``shape`` = (networks in the block, N)."""
-    uniforms = streams.draw((layer, _ROLE_MASK, row), "random", np.empty(shape))
-    return (uniforms < rho) / rho
-
-
 def _block_size(cfg: NetworkConfig, k: int, n_networks: int) -> int:
     """Networks per block: as many as keep the backward pass's stored
-    arrays within ``_BLOCK_BYTES``, at least one.
+    arrays within ``_BLOCK_BYTES``, at least one. The readout, weight layer
+    ``depth``, is not counted: its pre-activations and normals are only C
+    wide.
 
     Forward-only runs store nothing across layers but use the same size:
     for 200 networks of depth 60 at N = 1000 and k = 2 it gives 8 networks
@@ -230,15 +215,6 @@ def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for j in range(1, len(rows)):
         out += coef[:, j, :, None] * rows[j]
     return out
-
-
-def _matvecs(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``w[b] @ rows[i, b]`` for w (B, R, N) and rows (k, B, N): (k, B, R).
-
-    One matrix-vector product per row keeps each row's arithmetic
-    bit-identical to a run with that row alone, whatever k is.
-    """
-    return np.stack([(w @ row[..., None])[..., 0] for row in rows])
 
 
 def _reciprocal(values: np.ndarray) -> np.ndarray:
@@ -303,7 +279,7 @@ def _gaussian_rows(streams: _Streams, rows: np.ndarray, gram: np.ndarray,
     low, basis = _factor(rows, gram, const, with_basis)
     normals = np.empty((len(rows), rows.shape[1], width))
     for row, out in enumerate(normals):
-        _normals(streams, layer, role, row, out)
+        streams.draw((layer, role, row), "standard_normal", out)
     return _combine(scale * low, normals), normals, basis
 
 
@@ -330,9 +306,12 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
     independent dropout masks decorrelate even identical inputs, and the
     shared bias correlates even opposite ones. A c0 outside that range is
     clamped to its nearer end (the cosine of the inputs' angle is clamped
-    to +/-1); :func:`input_moments` gives the moments realized.
+    to +/-1); :func:`input_moments` gives the moments realized. The two
+    inputs span a plane, so the width must be at least 2.
     """
     hp = cfg.hp
+    if cfg.width < 2:
+        raise DomainError(f"synthetic inputs need width >= 2, got width={cfg.width}")
     for name, q0 in (("q0_a", q0_a), ("q0_b", q0_b)):
         if q0 <= hp.sigma_b_sq:
             raise DomainError(
@@ -399,13 +378,15 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
     leaves NaN from there on.
 
     With ``targets`` (k x n_classes), each network that reaches the top
-    feeds a softmax readout; ``grad[net, l]`` then holds the dot products
-    (delta_i . delta_j)(f_i . f_j) of the weight gradients of the
+    feeds a softmax readout, weight layer ``depth`` with n_classes units,
+    sampled like the hidden layers; ``grad[net, l]`` then holds the dot
+    products (delta_i . delta_j)(f_i . f_j) of the weight gradients of the
     cross-entropy losses, since the gradient with respect to W^l
     factorizes as delta^l outer f^l. In ``independent`` mode every
-    backward matrix is a fresh i.i.d. draw with the forward statistics; in
-    ``tied`` mode it is the forward matrix, sampled given the forward draw
-    (see the module docstring). Without targets ``grad`` is None.
+    backward matrix, the readout's included, is a fresh i.i.d. draw with
+    the forward statistics; in ``tied`` mode it is the forward matrix,
+    sampled given the forward draw (see the module docstring). Without
+    targets ``grad`` is None.
     """
     if n_networks < 1:
         raise DomainError(f"n_networks must be >= 1, got {n_networks}")
@@ -426,8 +407,12 @@ def _run_block(cfg: NetworkConfig, streams: _Streams, inputs: np.ndarray,
                grad: np.ndarray | None) -> None:
     """Fill ``gram`` and ``grad`` (B, depth, k, k) for the next B networks.
 
-    Every array is (k, B, N). A network that stops keeps consuming its
-    draws, with its rows zeroed, so every stream stays aligned.
+    Every array is (k, B, N), or (k, B, C) for the readout. Given targets,
+    the forward pass runs one more weight layer, the readout (layer
+    ``depth``, C = ``targets.shape[1]`` units, no activation and no Gram
+    row), and the backward pass draws each weight layer from ``depth`` down
+    to 1 once more. A network that stops keeps consuming its draws, with
+    its rows zeroed, so every stream stays aligned.
     """
     act = cfg.resolve_activation()
     depth, rho, n = cfg.depth, cfg.hp.rho, cfg.width
@@ -435,31 +420,39 @@ def _run_block(cfg: NetworkConfig, streams: _Streams, inputs: np.ndarray,
     tied = cfg.backprop_weights == "tied"
     keep_basis = tied and targets is not None
     scale = math.sqrt(cfg.hp.sigma_w_sq / n)
-    bias_scale = math.sqrt(cfg.hp.sigma_b_sq)
-    # A hidden layer's biases are one more column of W, on an input
-    # coordinate bias_scale / scale that every row shares.
-    const = bias_scale / scale
+    # Biases are one more column of W, on an input coordinate
+    # sigma_b / scale that every row shares.
+    const = math.sqrt(cfg.hp.sigma_b_sq) / scale
 
     def masks(layer):
-        return np.stack([_masks(streams, layer, row, (b, n), rho) for row in range(k)])
+        uniforms = np.empty((k, b, n))
+        for row, out in enumerate(uniforms):
+            streams.draw((layer, _ROLE_MASK, row), "random", out)
+        return (uniforms < rho) / rho
 
-    # f is the effective input to weight layer l, masks[l] * y (no masks at
+    # f is the effective input to weight layer l, masks(l) * y (no masks at
     # rho = 1). The backward pass reads f_grams[l], its Gram matrix, and
-    # kept[l]: the pre-activations of W^l, the masks of layer l + 1 (None at
-    # rho = 1), and in tied mode the normals and the extended basis of W^l.
+    # kept[l]: the pre-activations of W^l, masks(l) (None at rho = 1), and
+    # in tied mode the normals and the extended basis of W^l.
     dropout = rho < 1.0
     alive = np.ones(b, dtype=bool)
-    f = np.broadcast_to(inputs[:, None, :], (k, b, n)) * (masks(0) if dropout else 1.0)
-    keep = None
+    keep = masks(0) if dropout else None
+    f = np.broadcast_to(inputs[:, None, :], (k, b, n)) * (1.0 if keep is None else keep)
     f_grams, kept = [], []
-    for l in range(depth):
+    for l in range(depth if targets is None else depth + 1):
         f_gram = _gram(f)
         alive &= np.isfinite(f_gram).all(axis=(0, 1))
         if not alive.all():
             f[:, ~alive] = 0.0
             f_gram[..., ~alive] = 0.0
-        z, normals, basis = _gaussian_rows(streams, f, f_gram, l, _ROLE_WEIGHTS, scale, n,
-                                           const, keep_basis)
+        width = n if l < depth else targets.shape[1]
+        z, normals, basis = _gaussian_rows(streams, f, f_gram, l, _ROLE_WEIGHTS, scale,
+                                           width, const, keep_basis)
+        if targets is not None:
+            f_grams.append(f_gram)
+            kept.append((z, keep, normals if tied else None, basis))
+        if l == depth:
+            break
         moments = _gram(z) / n
         alive &= np.isfinite(moments).all(axis=(0, 1))
         gram[:, l] = np.where(alive, moments, np.nan).transpose(2, 0, 1)
@@ -469,40 +462,27 @@ def _run_block(cfg: NetworkConfig, streams: _Streams, inputs: np.ndarray,
         if dropout:
             keep = masks(l + 1)
             f = f * keep  # not in place: linear's phi returns z itself
-        if targets is not None:
-            f_grams.append(f_gram)
-            kept.append((z, keep, normals if tied else None, basis))
     if targets is None:
         return
 
-    n_classes = targets.shape[1]
-    w_up = scale * _normals(streams, depth, _ROLE_READOUT, 0, np.empty((b, n_classes, n)))
-    logits = _matvecs(w_up, f) + bias_scale * _normals(
-        streams, depth, _ROLE_BIASES, 0, np.empty((b, n_classes)))
+    logits = kept[depth][0]
     p = np.exp(logits - logits.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     delta = p - targets[:, None, :]
-    if tied:
-        grad_y = _matvecs(w_up.transpose(0, 2, 1), delta)
-    else:
-        grad_y, _, _ = _gaussian_rows(streams, delta, _gram(delta), depth,
-                                      _ROLE_BACKWARD, scale, n)
-    for l in range(depth - 1, -1, -1):
-        z, keep, normals, basis = kept[l]
+    delta_gram = _gram(delta)
+    for l in range(depth, 0, -1):
+        _, keep, normals, basis = kept[l]
+        grad_f, _, _ = _gaussian_rows(streams, delta, delta_gram, l, _ROLE_BACKWARD,
+                                      scale, n + 1)
+        if tied:
+            grad_f = _tied_products(grad_f, delta, normals, basis, scale)
+        # The last coordinate is the bias column's, not an input's.
+        grad_y = grad_f[..., :n]
         if keep is not None:
             grad_y *= keep
-        delta = act.d_phi(z) * grad_y
+        delta = act.d_phi(kept[l - 1][0]) * grad_y
         delta_gram = _gram(delta)
-        grad[:, l] = (delta_gram * f_grams[l]).transpose(2, 0, 1)
-        if l == 0:
-            break
-        if not tied:
-            grad_y, _, _ = _gaussian_rows(streams, delta, delta_gram, l, _ROLE_BACKWARD,
-                                          scale, n)
-            continue
-        fresh, _, _ = _gaussian_rows(streams, delta, delta_gram, l, _ROLE_BACKWARD,
-                                     scale, n + 1)
-        grad_y = _tied_products(fresh, delta, normals, basis, scale)[..., :n]
+        grad[:, l - 1] = (delta_gram * f_grams[l - 1]).transpose(2, 0, 1)
     grad[~alive] = np.nan
 
 

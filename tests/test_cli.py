@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ class TestErrorRows:
         assert status == cli.EXIT_PARTIAL
         rows = parse_csv(out)
         assert rows[0]["error"].startswith(message)
+
+    @pytest.mark.parametrize("mode", ["forward", "gradients", "grad-covariance"])
+    def test_width_one_is_one_error_row(self, mode, capsys):
+        # Two synthetic inputs span a plane, which one unit cannot hold:
+        # a typed error row, not a 0/0 warning or an empty table.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run(["simulate", mode, "--depth", "2", "--width", "1",
+                               "--networks", "2"], capsys)
+        assert status == cli.EXIT_PARTIAL
+        rows = parse_csv(out)
+        assert len(rows) == 1
+        assert rows[0]["error"] == "synthetic inputs need width >= 2, got width=1"
 
 
 class TestCriticalLine:

@@ -175,43 +175,46 @@ class TestGradients:
 class TestKernel:
     @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
     def test_normals_drawn_per_network(self, monkeypatch, mode):
-        # k x N normals per network, layer and pass instead of an N x N
-        # matrix; the C x N readout is the only dense draw. Every stream
-        # hands out exactly one chunk per network, across blocks of 2.
-        drawn, chunks, biases = Counter(), Counter(), Counter()
-        original = sim._normals
+        # At most N + 1 normals per row, network, layer and pass instead of
+        # an N x N matrix, the readout included: C forward, N + 1 backward.
+        # Biases are the weights' last column, with no stream of their own.
+        # Every stream hands out exactly one chunk per network, across
+        # blocks of 2.
+        drawn, chunks = Counter(), Counter()
+        original = sim._Streams.draw
 
-        def counted(streams, layer, role, row, out):
-            per_network = math.prod(out.shape[1:])
-            assert per_network <= 10 * cfg.width < cfg.width ** 2
-            chunks[layer, role, row] += out.shape[0]
-            target = biases if role == sim._ROLE_BIASES else drawn
-            target[role] += out.size
-            return original(streams, layer, role, row, out)
+        def counted(streams, key, method, out):
+            if method == "standard_normal":
+                assert math.prod(out.shape[1:]) <= cfg.width + 1
+                chunks[key] += out.shape[0]
+                drawn[key[1]] += out.size
+            return original(streams, key, method, out)
 
-        monkeypatch.setattr(sim, "_normals", counted)
+        monkeypatch.setattr(sim._Streams, "draw", counted)
         monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n_networks: 2)
         cfg = make_config(depth=6, width=200, backprop_weights=mode)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         target = np.eye(10)[0]
-        n_networks, k, n = 3, 2, cfg.width
+        n_networks, k, n, depth = 3, 2, cfg.width, cfg.depth
         sim.backward_covariance(cfg, x_a, x_b, (target, target), n_networks)
         assert set(chunks.values()) == {n_networks}
-        assert sum(drawn.values()) <= n_networks * (2 * cfg.depth * n * k + 10 * n)
-        # hidden biases are drawn with the weights; the readout's 10 apart
-        assert sum(biases.values()) == n_networks * 10
+        assert set(drawn) == {sim._ROLE_WEIGHTS, sim._ROLE_BACKWARD}
+        assert sum(drawn.values()) == n_networks * k * (depth * n + 10 + depth * (n + 1))
 
     def test_backward_pass_reuses_forward_masks(self, monkeypatch):
         # One mask draw per (layer, row) and network, layers 0 to depth (the
         # readout's input included); the backward pass draws none.
         drawn = Counter()
-        original = sim._masks
+        original = sim._Streams.draw
 
-        def counted(streams, layer, row, shape, rho):
-            drawn[layer, row] += shape[0]
-            return original(streams, layer, row, shape, rho)
+        def counted(streams, key, method, out):
+            if method == "random":
+                layer, role, row = key
+                assert role == sim._ROLE_MASK
+                drawn[layer, row] += out.shape[0]
+            return original(streams, key, method, out)
 
-        monkeypatch.setattr(sim, "_masks", counted)
+        monkeypatch.setattr(sim._Streams, "draw", counted)
         monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n_networks: 2)
         cfg = make_config(hp=mf.HyperParams(1.7, 0.05, 0.9), depth=6, width=50)
         x, _ = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
@@ -239,20 +242,23 @@ class TestKernel:
         assert norms.log_norm_sq.shape == (3, 0) and cov.dot.shape == (3, 0)
         assert np.all(np.isfinite(emp.q_aa_hat)) and np.all(np.isfinite(emp.c_ab_hat))
 
-    @pytest.mark.parametrize("rows", ["distinct", "identical"])
-    def test_tied_backward_reproduces_the_forward_products(self, rows):
+    @pytest.mark.parametrize("rows,outputs", [
+        ("distinct", 5), ("identical", 5), ("distinct", 10), ("identical", 10),
+    ], ids=["distinct", "identical", "readout-distinct", "readout-identical"])
+    def test_tied_backward_reproduces_the_forward_products(self, rows, outputs):
         # The tied backward matrix, biases as its last column, is one the
         # forward draw could have come from: (delta @ [W, w]) . (f_i, c)
-        # equals delta . z_i for any delta.
+        # equals delta . z_i for any delta, for a square hidden layer and
+        # for a readout of C = 10 outputs from N = 5 wide rows.
         rng = np.random.default_rng(3)
         k, b, n, scale, const = 2, 3, 5, 0.7, 1.3
         f = rng.standard_normal((k, b, n))
         if rows == "identical":
             f[1] = f[0]
         streams = sim._Streams(0)
-        z, normals, basis = sim._gaussian_rows(streams, f, sim._gram(f), 0,
-                                               sim._ROLE_WEIGHTS, scale, n, const, True)
-        delta = rng.standard_normal((k, b, n))
+        z, normals, basis = sim._gaussian_rows(streams, f, sim._gram(f), 0, sim._ROLE_WEIGHTS,
+                                               scale, outputs, const, True)
+        delta = rng.standard_normal((k, b, outputs))
         fresh, _, _ = sim._gaussian_rows(streams, delta, sim._gram(delta), 1,
                                          sim._ROLE_BACKWARD, scale, n + 1)
         products = sim._tied_products(fresh, delta, normals, basis, scale)
