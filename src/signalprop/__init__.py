@@ -2,7 +2,7 @@
 
 from .activations import Activation, builtin
 from .analysis import ExpFit, fit_exponential, residuals
-from .backprop import grad_covariance_factor, xi_grad
+from .backprop import grad_covariance_factor
 from .meanfield import (
     DepthScales,
     FixedPoint,
@@ -20,7 +20,7 @@ from .meanfield import (
     xi_c,
     xi_q,
 )
-from .quadrature import QuadratureRule, gauss_expect_1d, rule
+from .quadrature import QuadratureRule, rule
 from .simulator import (
     EmpiricalTrajectory,
     NetworkConfig,
@@ -54,7 +54,6 @@ __all__ = [
     "fit_exponential",
     "fixed_point",
     "forward_pair",
-    "gauss_expect_1d",
     "grad_covariance_factor",
     "input_moments",
     "iterate_trajectory",
@@ -66,6 +65,5 @@ __all__ = [
     "solve_q_star",
     "variance_map",
     "xi_c",
-    "xi_grad",
     "xi_q",
 ]

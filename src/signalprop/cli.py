@@ -38,6 +38,7 @@ carries ``"inf"``, ``"-inf"``, or ``"nan"``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -45,12 +46,13 @@ import itertools
 import json
 import math
 import sys
+from typing import TextIO
 
 import numpy as np
 
 from . import analysis, backprop, meanfield, quadrature, simulator
 from .activations import builtin, supported_names
-from .errors import DomainError, InsufficientDataError, SignalPropError
+from .errors import DomainError, InsufficientDataError, NumericError, SignalPropError
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -211,7 +213,8 @@ def _json_row(row: dict) -> dict:
     return out
 
 
-def emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) -> None:
+def emit(rows: list[dict], columns: list[str], fmt: str, out: TextIO) -> None:
+    """Write the table to the text stream ``out``."""
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -221,11 +224,7 @@ def emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) -
         text = buffer.getvalue()
     else:
         text = json.dumps([_json_row(row) for row in rows], indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +333,12 @@ def _target(args) -> np.ndarray:
 
 
 def _layer_rows(**columns) -> list[dict]:
-    """One row per layer of the first column; a scalar column repeats on
-    every row."""
+    """One row per layer of the first column, the layers a Monte Carlo
+    kept; a scalar column repeats on every row. A Monte Carlo truncated
+    at layer 0 kept none, which is an error."""
     layers = len(next(iter(columns.values())))
+    if layers == 0:
+        raise NumericError("Monte Carlo truncated at layer 0: no layer is left to report")
     return [dict(layer=l, **{name: float(value if np.ndim(value) == 0 else value[l])
                              for name, value in columns.items()})
             for l in range(layers)]
@@ -425,6 +427,13 @@ def main(argv=None) -> int:
     except SignalPropError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
+    # Opened before the sweep, so a path that cannot be written costs none.
+    try:
+        out = (contextlib.nullcontext(sys.stdout) if args.out is None
+               else open(args.out, "w", encoding="utf-8"))
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARTIAL
     names = [name for name in _GRID if name in args]
     compute = functools.partial(point, args, act, quad)
     points = [(dict(zip(names, values)), compute)
@@ -436,8 +445,9 @@ def main(argv=None) -> int:
         critical = functools.partial(_critical_row, args, act, quad)
         points += [({"sigma_b_sq": sb2, "rho": 1.0, "phase": "critical"}, critical)
                    for sb2 in args.sigma_b_sq]
-    rows, columns, status = _sweep(points, names + columns)
-    emit(rows, columns, args.fmt, args.out)
+    with out as stream:
+        rows, columns, status = _sweep(points, names + columns)
+        emit(rows, columns, args.fmt, stream)
     return status
 
 

@@ -124,13 +124,3 @@ def node_values(f, quad: QuadratureRule) -> np.ndarray:
         bad = quad.nodes[~np.isfinite(values)][0]
         raise NumericError(f"integrand is non-finite at node z={bad!r}")
     return values
-
-
-def gauss_expect_1d(f, quad: QuadratureRule | None = None) -> float:
-    """E[f(z)] for z ~ N(0, 1).
-
-    ``f`` must accept a numpy array of evaluation points.
-    """
-    if quad is None:
-        quad = rule()
-    return float(quad.weights @ node_values(f, quad))

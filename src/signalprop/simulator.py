@@ -38,8 +38,10 @@ position and independent of the network. Each block draws its B networks'
 values from the stream in turn, so network i always gets the i-th chunk
 of every stream: a run of n networks reproduces the first n networks of
 any longer run, and row 0 of a pair gets the draws it would get alone.
-The streams are set up once per run, not per network, and a network that
-stops early still consumes its draws. Memory is bounded by a fixed byte
+The streams are set up once per run, not per network. A block stops at
+the first layer where any of its networks overflows, and every entry
+point cuts its results there, so the draws a stopped block leaves to the
+next one are of layers no result reports. Memory is bounded by a fixed byte
 budget per block (``_BLOCK_BYTES``), not by the depth times the number of
 networks.
 """
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import Activation, builtin
+from .activations import builtin
 from .errors import ConfigurationError, DegenerateVarianceError, DomainError, NumericError
 from .meanfield import HyperParams
 
@@ -89,14 +91,13 @@ class NetworkConfig:
             raise DomainError(f"depth must be >= 1, got {self.depth}")
         if self.width < 1:
             raise DomainError(f"width must be >= 1, got {self.width}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.backprop_weights not in BACKPROP_MODES:
             raise ConfigurationError(
                 f"backprop_weights must be one of {BACKPROP_MODES}, "
                 f"got {self.backprop_weights!r}"
             )
-
-    def resolve_activation(self) -> Activation:
-        return builtin(self.activation)
 
 
 @dataclass
@@ -167,15 +168,18 @@ class _Streams:
                 "state": {"counter": zeros, "key": np.array([self._word, position])},
                 "buffer": zeros.copy(), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def draw(self, key: tuple[int, int, int], method: str, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the next values of stream ``key`` = (layer,
-        role, row) from the generator method ``method`` (``standard_normal``
-        or ``random``). ``out.shape[0]`` is the number of networks in the
-        block; each takes the next ``out.shape[1:]`` values of the stream."""
-        state = self._states.get(key)
-        self._bits.state = self._start(*key) if state is None else state
-        getattr(self._generator, method)(out=out)
-        self._states[key] = self._bits.state
+    def draw(self, layer: int, role: int, method: str, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (k, B, ...) with the next values of the streams
+        (layer, role, row) for rows 0 ... k - 1, from the generator method
+        ``method`` (``standard_normal`` or ``random``). B is the number of
+        networks in the block; each takes the next ``out.shape[2:]`` values
+        of every row's stream."""
+        for row, values in enumerate(out):
+            key = (layer, role, row)
+            state = self._states.get(key)
+            self._bits.state = self._start(*key) if state is None else state
+            getattr(self._generator, method)(out=values)
+            self._states[key] = self._bits.state
         return out
 
 
@@ -277,9 +281,8 @@ def _gaussian_rows(streams: _Streams, rows: np.ndarray, gram: np.ndarray,
     overflows no earlier than the draw.
     """
     low, basis = _factor(rows, gram, const, with_basis)
-    normals = np.empty((len(rows), rows.shape[1], width))
-    for row, out in enumerate(normals):
-        streams.draw((layer, role, row), "standard_normal", out)
+    normals = streams.draw(layer, role, "standard_normal",
+                           np.empty((len(rows), rows.shape[1], width)))
     return _combine(scale * low, normals), normals, basis
 
 
@@ -324,10 +327,12 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
     norm_a_sq = n * hp.rho * (q0_a - hp.sigma_b_sq) / hp.sigma_w_sq
     norm_b_sq = n * hp.rho * (q0_b - hp.sigma_b_sq) / hp.sigma_w_sq
     dot_target = n * (c0 * math.sqrt(q0_a * q0_b) - hp.sigma_b_sq) / hp.sigma_w_sq
-    if not (math.isfinite(norm_a_sq * norm_b_sq) and math.isfinite(dot_target)):
+    # The product underflows to 0 before either scale does; the angle
+    # below is then 0/0.
+    if not (0.0 < norm_a_sq * norm_b_sq < math.inf and math.isfinite(dot_target)):
         raise NumericError(
-            "input scale N rho (q0 - sigma_b^2) / sigma_w^2 or its dot target "
-            f"is not finite at sigma_w_sq={hp.sigma_w_sq}, width={n}"
+            "input scale N rho (q0 - sigma_b^2) / sigma_w^2 or its dot target is "
+            f"not finite, or the scale underflows, at sigma_w_sq={hp.sigma_w_sq}, width={n}"
         )
     cos_theta = dot_target / math.sqrt(norm_a_sq * norm_b_sq)
     cos_theta = min(1.0, max(-1.0, cos_theta))
@@ -373,11 +378,13 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
     Each row has its own dropout masks; all rows share each layer's
     weights and biases. Returns ``(gram, grad)``, both
     (n_networks, depth, k, k): ``gram[net, l]`` is the Gram matrix of the
-    layer-l pre-activations divided by N. A network stops at the first
-    layer whose input or pre-activation Gram matrix is not finite and
-    leaves NaN from there on.
+    layer-l pre-activations divided by N. A block of networks stops at the
+    first layer where the input or pre-activation Gram matrix of any of
+    them is not finite: from there on its ``gram``, and all of its
+    ``grad``, are NaN. The entry points cut every network at that layer
+    (gradients at layer 0), so no reported value depends on the block.
 
-    With ``targets`` (k x n_classes), each network that reaches the top
+    With ``targets`` (k x n_classes), each block that reaches the top
     feeds a softmax readout, weight layer ``depth`` with n_classes units,
     sampled like the hidden layers; ``grad[net, l]`` then holds the dot
     products (delta_i . delta_j)(f_i . f_j) of the weight gradients of the
@@ -405,16 +412,19 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
 def _run_block(cfg: NetworkConfig, streams: _Streams, inputs: np.ndarray,
                targets: np.ndarray | None, gram: np.ndarray,
                grad: np.ndarray | None) -> None:
-    """Fill ``gram`` and ``grad`` (B, depth, k, k) for the next B networks.
+    """Fill ``gram`` and ``grad`` (B, depth, k, k), pre-filled with NaN,
+    for the next B networks.
 
-    Every array is (k, B, N), or (k, B, C) for the readout. Given targets,
-    the forward pass runs one more weight layer, the readout (layer
-    ``depth``, C = ``targets.shape[1]`` units, no activation and no Gram
-    row), and the backward pass draws each weight layer from ``depth`` down
-    to 1 once more. A network that stops keeps consuming its draws, with
-    its rows zeroed, so every stream stays aligned.
+    Every array is (k, B, N), or (k, B, C) for the readout. Weight layer l
+    multiplies f_l = masks(l) y_l, where y_0 is the inputs and y_l =
+    phi(z_{l-1}); without targets the loop ends at z_{depth-1}. Given
+    targets it runs one more weight layer, the readout (layer ``depth``,
+    C = ``targets.shape[1]`` units, no activation and no Gram row), whose
+    pre-activations are the logits, and the backward pass draws each
+    weight layer from ``depth`` down to 1 once more. At the first Gram
+    matrix that is not finite the block stops and draws nothing more.
     """
-    act = cfg.resolve_activation()
+    act = builtin(cfg.activation)
     depth, rho, n = cfg.depth, cfg.hp.rho, cfg.width
     b, k = len(gram), len(inputs)
     tied = cfg.backprop_weights == "tied"
@@ -424,54 +434,40 @@ def _run_block(cfg: NetworkConfig, streams: _Streams, inputs: np.ndarray,
     # sigma_b / scale that every row shares.
     const = math.sqrt(cfg.hp.sigma_b_sq) / scale
 
-    def masks(layer):
-        uniforms = np.empty((k, b, n))
-        for row, out in enumerate(uniforms):
-            streams.draw((layer, _ROLE_MASK, row), "random", out)
-        return (uniforms < rho) / rho
-
-    # f is the effective input to weight layer l, masks(l) * y (no masks at
-    # rho = 1). The backward pass reads f_grams[l], its Gram matrix, and
-    # kept[l]: the pre-activations of W^l, masks(l) (None at rho = 1), and
-    # in tied mode the normals and the extended basis of W^l.
-    dropout = rho < 1.0
-    alive = np.ones(b, dtype=bool)
-    keep = masks(0) if dropout else None
-    f = np.broadcast_to(inputs[:, None, :], (k, b, n)) * (1.0 if keep is None else keep)
-    f_grams, kept = [], []
+    # The backward pass reads, per weight layer l, the Gram matrix of f_l,
+    # the pre-activations z_l, masks(l) (None at rho = 1) and in tied mode
+    # the normals and the extended basis of W^l.
+    stored = []
     for l in range(depth if targets is None else depth + 1):
+        f = np.broadcast_to(inputs[:, None, :], (k, b, n)) if l == 0 else act.phi(z)
+        keep = None
+        if rho < 1.0:
+            keep = (streams.draw(l, _ROLE_MASK, "random", np.empty((k, b, n))) < rho) / rho
+            f = f * keep  # not in place: linear's phi returns z itself
         f_gram = _gram(f)
-        alive &= np.isfinite(f_gram).all(axis=(0, 1))
-        if not alive.all():
-            f[:, ~alive] = 0.0
-            f_gram[..., ~alive] = 0.0
+        if not np.isfinite(f_gram).all():
+            return
         width = n if l < depth else targets.shape[1]
         z, normals, basis = _gaussian_rows(streams, f, f_gram, l, _ROLE_WEIGHTS, scale,
                                            width, const, keep_basis)
         if targets is not None:
-            f_grams.append(f_gram)
-            kept.append((z, keep, normals if tied else None, basis))
-        if l == depth:
-            break
-        moments = _gram(z) / n
-        alive &= np.isfinite(moments).all(axis=(0, 1))
-        gram[:, l] = np.where(alive, moments, np.nan).transpose(2, 0, 1)
-        if not alive.all():
-            z[:, ~alive] = 0.0
-        f = act.phi(z)
-        if dropout:
-            keep = masks(l + 1)
-            f = f * keep  # not in place: linear's phi returns z itself
+            stored.append((f_gram, z, keep, normals if tied else None, basis))
+        if l < depth:
+            moments = _gram(z) / n
+            if not np.isfinite(moments).all():
+                return
+            gram[:, l] = moments.transpose(2, 0, 1)
     if targets is None:
         return
 
-    logits = kept[depth][0]
-    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    # z is the readout's pre-activations: the logits.
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     delta = p - targets[:, None, :]
     delta_gram = _gram(delta)
     for l in range(depth, 0, -1):
-        _, keep, normals, basis = kept[l]
+        _, _, keep, normals, basis = stored[l]
+        f_gram, z, _, _, _ = stored[l - 1]
         grad_f, _, _ = _gaussian_rows(streams, delta, delta_gram, l, _ROLE_BACKWARD,
                                       scale, n + 1)
         if tied:
@@ -480,10 +476,9 @@ def _run_block(cfg: NetworkConfig, streams: _Streams, inputs: np.ndarray,
         grad_y = grad_f[..., :n]
         if keep is not None:
             grad_y *= keep
-        delta = act.d_phi(kept[l - 1][0]) * grad_y
+        delta = act.d_phi(z) * grad_y
         delta_gram = _gram(delta)
-        grad[:, l - 1] = (delta_gram * f_grams[l - 1]).transpose(2, 0, 1)
-    grad[~alive] = np.nan
+        grad[:, l - 1] = (delta_gram * f_gram).transpose(2, 0, 1)
 
 
 def _truncation(valid: np.ndarray) -> int | None:

@@ -191,7 +191,7 @@ class TestCriterion7:
             hp = mf.HyperParams(sw2, 0.05)
             fp = mf.fixed_point(hp, TANH)
             chi = mf.chi1(hp, TANH, fp.q_star)
-            xi_theory = backprop.xi_grad(chi)
+            xi_theory = -1.0 / math.log(chi)
             cfg = sim.NetworkConfig(depth=240, width=300, hp=hp,
                                     activation="tanh", seed=77)
             x, _ = sim.prepare_inputs(cfg, fp.q_star, fp.q_star, 0.6)

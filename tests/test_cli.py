@@ -50,6 +50,22 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err == f"error: quadrature order must be >= 2, got {order}\n"
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exits_with_message(self, where, tmp_path, monkeypatch, capsys):
+        # The output is opened before the sweep, which never runs.
+        path = tmp_path / "missing" / "t.csv" if where == "missing directory" else tmp_path
+        reason = "No such file or directory" if where == "missing directory" else "Is a directory"
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli.meanfield, "critical_sigma_w", unreachable)
+        status = cli.main(["critical-line", "--sigma-b-sq", "0.05", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: {reason}\n"
+
     def test_non_finite_rule_flag_exits_with_message(self, capsys):
         status = cli.main(["phase-diagram", "--sigma-w-sq", "1.7",
                            "--sigma-b-sq", "0.05", "--quad-order", "400"])
@@ -126,6 +142,14 @@ class TestErrorRows:
          "fit window needs 0 < floor < ceiling"),
         (["depth-scales", "--fit-floor", "0"], "fit window needs 0 < floor < ceiling"),
         (["depth-scales", "--depth", "-3"], "layers must be >= 1"),
+        # the product of the two input scales underflows to 0
+        (["simulate", "forward", "--sigma-w-sq", "1e250", "--depth", "4", "--width", "20",
+          "--networks", "2"], "input scale N rho (q0 - sigma_b^2) / sigma_w^2"),
+        # tanh' underflows: every gradient norm is 0
+        (["simulate", "gradients", "--sigma-w-sq", "1e100", "--depth", "4", "--width", "20",
+          "--networks", "2"], "Monte Carlo truncated at layer 0"),
+        (["simulate", "forward", "--seed", "-1", "--depth", "2", "--width", "20",
+          "--networks", "2"], "seed must be >= 0, got -1"),
     ])
     def test_error_row(self, argv, message, capsys):
         status, out = run(argv, capsys)

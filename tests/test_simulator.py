@@ -1,4 +1,5 @@
 """Finite-width Monte Carlo simulator: reproducibility, moments, gradients."""
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -26,6 +27,7 @@ class TestConfig:
         (dict(depth=0), DomainError),
         (dict(width=0), DomainError),
         (dict(backprop_weights="random"), ConfigurationError),
+        (dict(seed=-1), DomainError),
     ])
     def test_validation(self, kwargs, exc):
         with pytest.raises(exc):
@@ -183,12 +185,13 @@ class TestKernel:
         drawn, chunks = Counter(), Counter()
         original = sim._Streams.draw
 
-        def counted(streams, key, method, out):
+        def counted(streams, layer, role, method, out):
             if method == "standard_normal":
-                assert math.prod(out.shape[1:]) <= cfg.width + 1
-                chunks[key] += out.shape[0]
-                drawn[key[1]] += out.size
-            return original(streams, key, method, out)
+                for row, values in enumerate(out):
+                    assert math.prod(values.shape[1:]) <= cfg.width + 1
+                    chunks[layer, role, row] += values.shape[0]
+                    drawn[role] += values.size
+            return original(streams, layer, role, method, out)
 
         monkeypatch.setattr(sim._Streams, "draw", counted)
         monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n_networks: 2)
@@ -207,12 +210,12 @@ class TestKernel:
         drawn = Counter()
         original = sim._Streams.draw
 
-        def counted(streams, key, method, out):
+        def counted(streams, layer, role, method, out):
             if method == "random":
-                layer, role, row = key
                 assert role == sim._ROLE_MASK
-                drawn[layer, row] += out.shape[0]
-            return original(streams, key, method, out)
+                for row, values in enumerate(out):
+                    drawn[layer, row] += values.shape[0]
+            return original(streams, layer, role, method, out)
 
         monkeypatch.setattr(sim._Streams, "draw", counted)
         monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n_networks: 2)
@@ -221,6 +224,33 @@ class TestKernel:
         sim.backward_gradients(cfg, x, np.eye(10)[0], 3)
         assert drawn == Counter({(l, 0): 3 for l in range(7)})
 
+    def test_forward_runs_stop_at_the_last_reported_layer(self, monkeypatch):
+        # Without a readout the loop ends at the last hidden layer's
+        # pre-activations: masks for layers 0 to depth - 1 only, and phi
+        # once per layer above the first, per block.
+        drawn, calls = Counter(), []
+        original = sim._Streams.draw
+
+        def counted(streams, layer, role, method, out):
+            if method == "random":
+                for row, values in enumerate(out):
+                    drawn[layer, row] += values.shape[0]
+            return original(streams, layer, role, method, out)
+
+        def counting(name):
+            act = builtin(name)
+            return dataclasses.replace(act, phi=lambda z: calls.append(1) or act.phi(z))
+
+        monkeypatch.setattr(sim._Streams, "draw", counted)
+        monkeypatch.setattr(sim, "builtin", counting)
+        monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n_networks: 2)
+        cfg = make_config(hp=mf.HyperParams(1.7, 0.05, 0.9), depth=6, width=50)
+        x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
+        emp = sim.forward_pair(cfg, x_a, x_b, 3)
+        assert emp.truncated_at is None
+        assert drawn == Counter({(l, row): 3 for l in range(6) for row in range(2)})
+        assert len(calls) == 2 * 5
+
     @pytest.mark.parametrize("rho", [1.0, 0.9])
     @pytest.mark.parametrize("sw2,depth,expected", [
         # (forward_pair, backward_gradients, backward_covariance)
@@ -228,19 +258,24 @@ class TestKernel:
         (1e100, 8, (4, 0, 0)),    # pre-activations reach inf at layer 7
         (1e12, 40, (26, 0, 0)),
     ])
-    def test_overflow_truncation(self, sw2, depth, expected, rho):
+    def test_overflow_truncation(self, monkeypatch, sw2, depth, expected, rho):
+        # 3 networks in one block, then 5 in blocks of 2: a block stops
+        # where its first network overflows, and the next block's draws
+        # move only at layers past the cut.
         hp = mf.HyperParams(sw2, 0.1, rho)
         cfg = make_config(hp=hp, activation="linear", depth=depth, width=50, seed=1)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         target = np.eye(10)[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            emp = sim.forward_pair(cfg, x_a, x_b, 3)
-            norms = sim.backward_gradients(cfg, x_a, target, 3)
-            cov = sim.backward_covariance(cfg, x_a, x_b, (target, target), 3)
-        assert (emp.truncated_at, norms.truncated_at, cov.truncated_at) == expected
-        assert len(emp.q_aa_hat) == expected[0]
-        assert norms.log_norm_sq.shape == (3, 0) and cov.dot.shape == (3, 0)
-        assert np.all(np.isfinite(emp.q_aa_hat)) and np.all(np.isfinite(emp.c_ab_hat))
+        for n_networks, block in ((3, 3), (5, 2)):
+            monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n: block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                emp = sim.forward_pair(cfg, x_a, x_b, n_networks)
+                norms = sim.backward_gradients(cfg, x_a, target, n_networks)
+                cov = sim.backward_covariance(cfg, x_a, x_b, (target, target), n_networks)
+            assert (emp.truncated_at, norms.truncated_at, cov.truncated_at) == expected
+            assert len(emp.q_aa_hat) == expected[0]
+            assert norms.log_norm_sq.shape == cov.dot.shape == (n_networks, 0)
+            assert np.all(np.isfinite(emp.q_aa_hat)) and np.all(np.isfinite(emp.c_ab_hat))
 
     @pytest.mark.parametrize("rows,outputs", [
         ("distinct", 5), ("identical", 5), ("distinct", 10), ("identical", 10),
@@ -358,7 +393,7 @@ def dense_propagate(cfg, inputs, n_networks, targets, rng):
     ones (independent). One plain generator serves every draw; O(N^2)
     normals per layer, so only for small widths.
     """
-    act = cfg.resolve_activation()
+    act = builtin(cfg.activation)
     depth, rho, k, n = cfg.depth, cfg.hp.rho, len(inputs), cfg.width
     hp, n_classes = cfg.hp, targets.shape[1]
 
