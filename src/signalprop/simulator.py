@@ -140,10 +140,28 @@ class GradientCovariance:
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over networks (axis 0) and its standard error."""
+    """Mean over networks (axis 0) and its standard error.
+
+    Both are taken of the samples over ``_binade`` of their largest
+    magnitude and scaled back, so neither the sum nor the squares
+    overflow.
+    """
     n = samples.shape[0]
     ddof = 1 if n > 1 else 0
-    return samples.mean(axis=0), samples.std(axis=0, ddof=ddof) / math.sqrt(n)
+    scale = _binade(np.abs(samples).max(axis=0))
+    scaled = samples / scale
+    return (scaled.mean(axis=0) * scale,
+            scaled.std(axis=0, ddof=ddof) * scale / math.sqrt(n))
+
+
+def _binade(x: np.ndarray) -> np.ndarray:
+    """The power of two at the bottom of each |x|'s binade (0.5 at x = 0).
+
+    Dividing by it is exact short of the subnormals and leaves values of
+    magnitude below 2, so a computation scaled by it and scaled back
+    gives the same doubles as unscaled, and its squares cannot overflow.
+    """
+    return np.ldexp(0.5, np.frexp(x)[1])
 
 
 class _Streams:
@@ -316,13 +334,13 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
     if cfg.width < 2:
         raise DomainError(f"synthetic inputs need width >= 2, got width={cfg.width}")
     for name, q0 in (("q0_a", q0_a), ("q0_b", q0_b)):
-        if q0 <= hp.sigma_b_sq:
+        if not hp.sigma_b_sq < q0 < math.inf:
             raise DomainError(
-                f"{name}={q0} must exceed sigma_b_sq={hp.sigma_b_sq} to be "
-                "realizable by scaling the input"
+                f"{name}={q0} must be finite and exceed sigma_b_sq={hp.sigma_b_sq} "
+                "to be realizable by scaling the input"
             )
-    if abs(c0) > 1:
-        raise DomainError(f"|c0| must be <= 1, got {c0}")
+    if not abs(c0) <= 1:
+        raise DomainError(f"c0 must lie in [-1, 1], got {c0}")
     n = cfg.width
     norm_a_sq = n * hp.rho * (q0_a - hp.sigma_b_sq) / hp.sigma_w_sq
     norm_b_sq = n * hp.rho * (q0_b - hp.sigma_b_sq) / hp.sigma_w_sq
@@ -504,7 +522,10 @@ def forward_pair(cfg: NetworkConfig, x_a: np.ndarray, x_b: np.ndarray,
     cut = _truncation(np.isfinite(gram).all(axis=(2, 3)))
     q_a, q_b, q_ab = (gram[:, :cut, i, j] for i, j in ((0, 0), (1, 1), (0, 1)))
     q_aa_hat, q_aa_stderr = _mean_stderr(q_a)
-    c_ab_hat, c_ab_stderr = _mean_stderr(q_ab / np.sqrt(q_a * q_b))
+    # q_a * q_b overflows where each variance is still finite.
+    scale = _binade(np.maximum(q_a, q_b))
+    c_ab_hat, c_ab_stderr = _mean_stderr(
+        (q_ab / scale) / np.sqrt((q_a / scale) * (q_b / scale)))
     return EmpiricalTrajectory(
         q_aa_hat=q_aa_hat,
         q_aa_stderr=q_aa_stderr,

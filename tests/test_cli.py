@@ -150,9 +150,16 @@ class TestErrorRows:
           "--networks", "2"], "Monte Carlo truncated at layer 0"),
         (["simulate", "forward", "--seed", "-1", "--depth", "2", "--width", "20",
           "--networks", "2"], "seed must be >= 0, got -1"),
+        # nan and inf starts are rejected by name, not met downstream
+        (["depth-scales", "--sigma-w-sq", "1.7", "--c0", "nan"], "c0 must lie in [-1, 1]"),
+        (["depth-scales", "--sigma-w-sq", "1.7", "--q0", "inf"], "q0_a must be finite"),
+        (["simulate", "forward", "--depth", "2", "--width", "20", "--networks", "2",
+          "--c0", "nan"], "c0 must lie in [-1, 1]"),
     ])
     def test_error_row(self, argv, message, capsys):
-        status, out = run(argv, capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out = run(argv, capsys)
         assert status == cli.EXIT_PARTIAL
         rows = parse_csv(out)
         assert rows[0]["error"].startswith(message)
@@ -329,6 +336,22 @@ class TestSimulate:
         rows = parse_csv(out)
         assert len(rows) == 1
         assert "not finite" in rows[0]["error"]
+
+    def test_huge_variances_keep_finite_statistics(self, capsys):
+        # q_a q_b and the squares of the spread overflow where each
+        # variance is still finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out = run(["simulate", "forward", "--sigma-w-sq", "1e160",
+                               "--depth", "4", "--width", "20", "--networks", "2"], capsys)
+        assert status == 0
+        rows = parse_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            for column in ("q_aa_hat", "q_aa_stderr", "c_ab_hat", "c_ab_stderr"):
+                assert math.isfinite(float(row[column]))
+            assert abs(float(row["c_ab_hat"])) <= 1.0
+        assert float(rows[3]["q_aa_hat"]) > 1e159
 
 
 class TestSimulateModes:

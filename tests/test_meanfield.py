@@ -467,6 +467,20 @@ class TestSpectrum:
         assert passes["phi"] <= len(set(traj.q_aa[:-1]) | set(traj.q_bb[:-1]))
         assert passes["d_phi"] == 0
 
+    @pytest.mark.parametrize("sw2,sb2,rho", [
+        (1.5, 0.05, 1.0), (2.5, 0.05, 1.0), (1.3, 0.05, 0.95),
+    ])
+    def test_readers_of_a_solved_point_make_no_pass_of_phi(self, sw2, sb2, rho):
+        # ordered, chaotic and dropout: chi1, xi_q and xi_c take the q*
+        # solver's record at q*, and a second solve finds all its records
+        act, passes = counting(TANH)
+        hp = mf.HyperParams(sw2, sb2, rho)
+        fp = mf.fixed_point(hp, act)
+        solved = passes["phi"]
+        mf.depth_scales(hp, act, fp=fp)
+        assert mf.fixed_point(hp, act) == fp
+        assert passes["phi"] == solved
+
     def test_activations_sharing_a_name_do_not_share_a_record(self):
         steeper = dataclasses.replace(TANH, d_phi=lambda x: 2.0 * TANH.d_phi(x))
         hp = mf.HyperParams(1.7, 0.05)
@@ -638,8 +652,11 @@ class TestTrajectory:
         hp = mf.HyperParams(1.7, 0.05)
         with pytest.raises(DomainError):
             mf.iterate_trajectory(hp, TANH, layers=0)
-        with pytest.raises(DomainError):
-            mf.iterate_trajectory(hp, TANH, c0=1.5)
+        # nan and inf fail the checks too, each naming its argument
+        for name, value in [("c0", 1.5), ("c0", math.nan), ("c0", -math.inf),
+                            ("q0_a", math.nan), ("q0_a", math.inf), ("q0_b", -1.0)]:
+            with pytest.raises(DomainError, match=f"^{name} must"):
+                mf.iterate_trajectory(hp, TANH, **{name: value})
 
 
 @given(act=st.sampled_from([TANH, HARD_TANH, LINEAR]),
@@ -653,10 +670,9 @@ def test_q_star_is_a_root_at_its_evaluation_count(act, fraction, sb2, rho):
     hp = mf.HyperParams(slope * rho, sb2, rho)
     counted, passes = counting(act)
     fp = mf.fixed_point(hp, counted)
-    # one pass of phi per variance-map evaluation, and one for the record
-    # at q* when the c* solve reads its a_n (not when chi1 <= 1 gives c* = 1)
-    reads_record = not fp.degenerate and (rho < 1.0 or fp.c_star < 1.0)
-    assert passes["phi"] == fp.iterations_q + reads_record
+    # one pass of phi per variance-map evaluation; the c* solve reads the
+    # record at q* that the q* solve made
+    assert passes["phi"] == fp.iterations_q
     if not fp.degenerate:
         residual = abs(mf.variance_map(fp.q_star, hp, act) - fp.q_star)
         assert residual <= 1e-14 * max(1.0, fp.q_star)
