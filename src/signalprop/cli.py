@@ -143,7 +143,7 @@ _NETWORK = (
                "inputs instead of synthetic vectors; excludes --q0 and --c0"),
 )
 _READOUT = (
-    _flag("--backprop-weights", default="tied", choices=simulator.BACKPROP_MODES,
+    _flag("--backprop-weights", default="tied", choices=("tied", "independent"),
           help="backward-pass weight sampling mode"),
     _flag("--classes", type=int, default=simulator.DEFAULT_N_CLASSES,
           help="softmax readout width"),
@@ -235,14 +235,15 @@ def _sweep(points, columns: list[str]) -> tuple[list[dict], list[str], int]:
 
     ``points`` yields (base row, compute) pairs; ``compute(base)`` returns
     a list of value dicts, each emitted as one row after the base columns.
-    A point whose compute raises a SignalPropError becomes a single row
-    with an ``error`` cell, and the error column appears only then.
+    A point whose compute raises a SignalPropError, or a MemoryError for a
+    size that cannot be allocated, becomes a single row with an ``error``
+    cell, and the error column appears only then.
     """
     rows, status = [], EXIT_OK
     for base, compute in points:
         try:
             rows.extend(dict(base, **values) for values in compute(base))
-        except SignalPropError as exc:
+        except (SignalPropError, MemoryError) as exc:
             rows.append(dict(base, error=str(exc)))
             status = EXIT_PARTIAL
     if status != EXIT_OK:
@@ -307,11 +308,12 @@ def _trainable_point(args, act, quad, base):
     return [dict(xi_c=xi_c, max_trainable_depth=6.0 * xi_c)]
 
 
-def _config(args, base, **options) -> simulator.NetworkConfig:
-    """The network of one grid point; ``options`` are the readout's."""
+def _config(args, act, base, **options) -> simulator.NetworkConfig:
+    """The network of one grid point, running the theory's activation
+    object; ``options`` are the readout's."""
     return simulator.NetworkConfig(
         depth=args.depth, width=args.width, hp=meanfield.HyperParams(**base),
-        activation=args.activation, seed=args.seed, **options)
+        activation=act, seed=args.seed, **options)
 
 
 def _inputs(args, cfg, c0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +349,7 @@ def _layer_rows(**columns) -> list[dict]:
 def _forward_point(args, act, quad, base):
     """Pre-activation moments of an input pair, and the theory trajectory
     started at the moments the pair realizes at layer 0."""
-    cfg = _config(args, base)
+    cfg = _config(args, act, base)
     x_a, x_b = _inputs(args, cfg, args.c0)
     emp = simulator.forward_pair(cfg, x_a, x_b, args.networks)
     q_a, q_b, c = simulator.input_moments(cfg, x_a, x_b)
@@ -361,7 +363,7 @@ def _forward_point(args, act, quad, base):
 def _gradients_point(args, act, quad, base):
     """Log squared gradient norms of one input, and the theory slope
     -log chi1 per layer."""
-    cfg = _config(args, base, backprop_weights=args.backprop_weights)
+    cfg = _config(args, act, base, tied=args.backprop_weights == "tied")
     # One input: the correlation passed on is never realized.
     x, _ = _inputs(args, cfg, meanfield.DEFAULT_C0)
     norms = simulator.backward_gradients(cfg, x, _target(args), args.networks)
@@ -376,7 +378,7 @@ def _gradients_point(args, act, quad, base):
 def _grad_covariance_point(args, act, quad, base):
     """Gradient dot products of an input pair, and the theory factor per
     layer at the fixed point."""
-    cfg = _config(args, base, backprop_weights=args.backprop_weights)
+    cfg = _config(args, act, base, tied=args.backprop_weights == "tied")
     x_a, x_b = _inputs(args, cfg, args.c0)
     target = _target(args)
     cov = simulator.backward_covariance(cfg, x_a, x_b, (target, target), args.networks)

@@ -38,7 +38,8 @@ removes the c = 1 fixed point for any rho < 1.
 
 q* has one solver, ``solve_q_star``: Brent's method on V(q) - q over a
 bracket that holds the map's unique fixed point, with no start value and
-no fallback. c* has one too, ``solve_c_star``, on the Mehler series.
+no fallback, and once more in log q for a root below 1e-3. c* has one
+too, ``solve_c_star``, on the Mehler series.
 
 Depth scales are the e-folding lengths of exponential convergence toward
 the fixed points (q*, c*); they are read off from the linearization of
@@ -60,6 +61,7 @@ from .errors import (
     DegenerateVarianceError,
     DomainError,
     NoFixedPointError,
+    NumericError,
 )
 from .quadrature import QuadratureRule, hermite_matrix, node_values, rule
 
@@ -81,6 +83,10 @@ _ROOT_RTOL = 8.9e-16
 #: q* roots below this with sigma_b^2 == 0 collapse to the exact
 #: degenerate fixed point q* = 0.
 _DEGENERATE_Q = 1e-8
+
+#: q* roots below this are solved again in log q: the first solve's
+#: absolute tolerance, 1e-15, is not a relative one there.
+_SMALL_Q = 1e-3
 
 #: One rounding unit of a double, the trim bound of ``_series``.
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -385,8 +391,11 @@ def _bracketed_root(f, a: float, b: float, f_a: float, f_b: float,
             else:
                 d_pre = (f_pre - f_cur) / (x_pre - x_cur)
                 d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                         / (d_blk * d_pre * (f_blk - f_pre)))
+                # 0 where f repeats a value (a flat, rounding-limited
+                # stretch): no interpolation, bisect.
+                denominator = d_blk * d_pre * (f_blk - f_pre)
+                if denominator != 0.0:
+                    s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / denominator
         if s_try is not None and 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
             s_pre, s_cur = s_cur, s_try
         else:
@@ -412,13 +421,28 @@ def solve_q_star(hp: HyperParams, act: Activation,
     when sigma_b^2 = 0 and the origin is unstable). Its upper end
     doubles from sigma_w^2/rho + sigma_b^2 + 1 until V(hi) < hi; for
     |phi| <= 1 the first end already does, and for linear the doubling
-    ends because sigma_w^2/rho < 1. V(lo) > lo at the lower end: V(0) >=
-    sigma_b^2 > 0, and with sigma_b^2 = 0 the map leaves the origin with
-    slope > 1. Returns (q*, number of variance-map evaluations, both ends
-    included).
+    ends because sigma_w^2/rho < 1. An end that overflows to inf raises
+    NumericError. V(lo) > lo at the lower end: V(0) >= sigma_b^2 > 0, and
+    with sigma_b^2 = 0 the map leaves the origin with slope > 1.
+
+    The solve's tolerance is 1e-15 in q, so a root below ``_SMALL_Q`` is
+    solved again in log q to 1e-15, between max(lo, sigma_b^2) and the
+    first root + 2e-15; larger roots keep every bit of the first solve.
+    Returns (q*, number of distinct q at which V was evaluated, both ends
+    included): each is one pass of phi.
     """
     _check_activation(act, hp)
-    displacement = lambda q: variance_map(q, hp, act, quad) - q
+    values = {}
+
+    def displacement(q: float) -> float:
+        if q not in values:
+            if q == math.inf:
+                raise NumericError(
+                    f"q* bracket overflows at sigma_w_sq/rho={hp.effective_sigma_w_sq}, "
+                    f"sigma_b_sq={hp.sigma_b_sq}")
+            values[q] = variance_map(q, hp, act, quad) - q
+        return values[q]
+
     lo = 0.0
     if hp.sigma_b_sq == 0.0:
         # q = 0 is always a fixed point when phi(0) = 0; a positive one
@@ -428,12 +452,19 @@ def solve_q_star(hp: HyperParams, act: Activation,
         lo = 1e-300
     f_lo = displacement(lo)
     hi = hp.effective_sigma_w_sq + hp.sigma_b_sq + 1.0
-    f_hi, evaluations = displacement(hi), 2
+    f_hi = displacement(hi)
     while f_hi > 0.0:
         hi *= 2.0
-        f_hi, evaluations = displacement(hi), evaluations + 1
-    q_star, steps = _bracketed_root(displacement, lo, hi, f_lo, f_hi, 1e-15)
-    return q_star, evaluations + steps
+        f_hi = displacement(hi)
+    q_star, _ = _bracketed_root(displacement, lo, hi, f_lo, f_hi, 1e-15)
+    if q_star < _SMALL_Q:
+        # Every evaluation is at exp(t), so the root's record is one of them.
+        log_displacement = lambda t: displacement(math.exp(t))
+        t_lo, t_hi = math.log(max(lo, hp.sigma_b_sq)), math.log(q_star + 2e-15)
+        t_star, _ = _bracketed_root(log_displacement, t_lo, t_hi, log_displacement(t_lo),
+                                    log_displacement(t_hi), 1e-15)
+        q_star = math.exp(t_star)
+    return q_star, len(values)
 
 
 def chi1(hp: HyperParams, act: Activation, q_star: float,
@@ -632,8 +663,10 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
     the other's shares its record and its series of a_n^2. Once both next
     variances equal the current ones bit for bit they stay put, and the
     remaining layers run a loop on c alone: one series evaluation and a
-    clamp per layer. A layer whose variances multiply to 0 (exactly, or
-    by underflow) raises DegenerateVarianceError.
+    clamp per layer. The norm sqrt(q_a q_b) is formed from variances
+    scaled by a power of two, so it does not overflow at huge sigma_w^2
+    and is bit-identical elsewhere. A layer whose variances multiply to 0
+    (exactly, or by underflow) raises DegenerateVarianceError.
     """
     if layers < 1:
         raise DomainError(f"layers must be >= 1, got {layers}")
@@ -652,7 +685,10 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
         spec_b = spec_a if q_b == q_a else _spectrum(act, q_b, quad)
         q_a_next, q_b_next = spec_a.next_variance(hp), spec_b.next_variance(hp)
         series = spec_a.a_sq_series if q_a == q_b else _series(spec_a.a * spec_b.a)
-        norm = math.sqrt(q_a_next * q_b_next)
+        # Scaled by the power of two at the bottom of the larger variance's
+        # binade, which is exact, the product cannot overflow.
+        scale = math.ldexp(0.5, math.frexp(max(q_a_next, q_b_next))[1])
+        norm = math.sqrt((q_a_next / scale) * (q_b_next / scale)) * scale
         if norm == 0.0:
             raise DegenerateVarianceError(
                 f"correlation undefined for q_a={q_a_next}, q_b={q_b_next}"

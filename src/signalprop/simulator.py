@@ -10,6 +10,8 @@ One kernel serves every entry point: k inputs (one for gradient norms, a
 pair for moments and gradient covariances) share each sampled network,
 each input with its own dropout masks. Per layer it returns the k x k Gram
 matrix of the pre-activations and, given targets, of the weight gradients.
+It calls the ``Activation`` object of its ``NetworkConfig`` and resolves
+no names, so any activation the theory takes runs here too.
 
 No weight matrix is drawn. A layer only multiplies k vectors by W, and by
 Gaussian conditioning (Bolthausen; Yang, Tensor Programs, arXiv
@@ -20,12 +22,12 @@ k x (N + 1) effective inputs so extended, F = L Q (L L^T = F F^T, Q with
 orthonormal rows) and g k x M standard normals for M output units, the
 forward pass is z = sqrt(sigma_w^2/N) L g. Given that draw,
 W = sqrt(sigma_w^2/N) g^T Q + W~ (I - Q^T Q) with W~ independent, so the
-``tied`` backward pass is delta W = sqrt(sigma_w^2/N) (delta g^T) Q +
-delta W~ (I - Q^T Q) without its bias coordinate, and the ``independent``
-one is the fresh term delta W~ alone, drawn like the forward pass from
-delta's Gram matrix. The softmax readout (C = 10 classes by default) is
-weight layer ``depth``, sampled like the hidden layers at M = C: its
-pre-activations are the logits.
+tied backward pass (``tied=True``) is delta W = sqrt(sigma_w^2/N)
+(delta g^T) Q + delta W~ (I - Q^T Q) without its bias coordinate, and the
+independent one is the fresh term delta W~ alone, drawn like the forward
+pass from delta's Gram matrix. The softmax readout (C = 10 classes by
+default) is weight layer ``depth``, sampled like the hidden layers at
+M = C: its pre-activations are the logits.
 
 Networks run in blocks: every array of a block is (k, B, N), one slice per
 network, and each network's arithmetic is its own (a network is never
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import builtin
+from .activations import Activation
 from .errors import ConfigurationError, DegenerateVarianceError, DomainError, NumericError
 from .meanfield import HyperParams
 
@@ -72,19 +74,25 @@ _RANK_RTOL = math.sqrt(np.finfo(float).eps)
 #: dropout masks).
 _BLOCK_BYTES = 32 * 2 ** 20
 
-BACKPROP_MODES = ("tied", "independent")
-
 DEFAULT_N_CLASSES = 10
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """A sampled network's shape, law and seed.
+
+    ``activation`` is the object the kernel calls, built-in or not.
+    ``tied`` selects the backward pass's weights: the forward matrices,
+    sampled given the forward draw (True), or fresh i.i.d. draws with the
+    forward statistics (False).
+    """
+
     depth: int
     width: int
     hp: HyperParams
-    activation: str = "tanh"
+    activation: Activation
     seed: int = 0
-    backprop_weights: str = "tied"
+    tied: bool = True
 
     def __post_init__(self):
         if self.depth < 1:
@@ -93,11 +101,6 @@ class NetworkConfig:
             raise DomainError(f"width must be >= 1, got {self.width}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.backprop_weights not in BACKPROP_MODES:
-            raise ConfigurationError(
-                f"backprop_weights must be one of {BACKPROP_MODES}, "
-                f"got {self.backprop_weights!r}"
-            )
 
 
 @dataclass
@@ -407,11 +410,11 @@ def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,
     sampled like the hidden layers; ``grad[net, l]`` then holds the dot
     products (delta_i . delta_j)(f_i . f_j) of the weight gradients of the
     cross-entropy losses, since the gradient with respect to W^l
-    factorizes as delta^l outer f^l. In ``independent`` mode every
-    backward matrix, the readout's included, is a fresh i.i.d. draw with
-    the forward statistics; in ``tied`` mode it is the forward matrix,
-    sampled given the forward draw (see the module docstring). Without
-    targets ``grad`` is None.
+    factorizes as delta^l outer f^l. Without ``cfg.tied`` every backward
+    matrix, the readout's included, is a fresh i.i.d. draw with the
+    forward statistics; with it, it is the forward matrix, sampled given
+    the forward draw (see the module docstring). Without targets ``grad``
+    is None.
     """
     if n_networks < 1:
         raise DomainError(f"n_networks must be >= 1, got {n_networks}")
@@ -435,17 +438,17 @@ def _run_block(cfg: NetworkConfig, streams: _Streams, inputs: np.ndarray,
 
     Every array is (k, B, N), or (k, B, C) for the readout. Weight layer l
     multiplies f_l = masks(l) y_l, where y_0 is the inputs and y_l =
-    phi(z_{l-1}); without targets the loop ends at z_{depth-1}. Given
-    targets it runs one more weight layer, the readout (layer ``depth``,
-    C = ``targets.shape[1]`` units, no activation and no Gram row), whose
-    pre-activations are the logits, and the backward pass draws each
-    weight layer from ``depth`` down to 1 once more. At the first Gram
-    matrix that is not finite the block stops and draws nothing more.
+    phi(z_{l-1}), phi and phi' being ``cfg.activation``'s; without targets
+    the loop ends at z_{depth-1}. Given targets it runs one more weight
+    layer, the readout (layer ``depth``, C = ``targets.shape[1]`` units, no
+    activation and no Gram row), whose pre-activations are the logits, and
+    the backward pass draws each weight layer from ``depth`` down to 1 once
+    more, tied or not as ``cfg.tied`` says. At the first Gram matrix that
+    is not finite the block stops and draws nothing more.
     """
-    act = builtin(cfg.activation)
+    act, tied = cfg.activation, cfg.tied
     depth, rho, n = cfg.depth, cfg.hp.rho, cfg.width
     b, k = len(gram), len(inputs)
-    tied = cfg.backprop_weights == "tied"
     keep_basis = tied and targets is not None
     scale = math.sqrt(cfg.hp.sigma_w_sq / n)
     # Biases are one more column of W, on an input coordinate

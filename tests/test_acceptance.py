@@ -165,7 +165,7 @@ class TestCriterion6:
     def test_monte_carlo_forward_agreement(self, report):
         hp = mf.HyperParams(1.7, 0.05)
         cfg = sim.NetworkConfig(depth=60, width=1000, hp=hp,
-                                activation="tanh", seed=2024)
+                                activation=TANH, seed=2024)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         emp = sim.forward_pair(cfg, x_a, x_b, 200)
         traj = mf.iterate_trajectory(hp, TANH, q0_a=0.8, q0_b=0.8, c0=0.6,
@@ -193,7 +193,7 @@ class TestCriterion7:
             chi = mf.chi1(hp, TANH, fp.q_star)
             xi_theory = -1.0 / math.log(chi)
             cfg = sim.NetworkConfig(depth=240, width=300, hp=hp,
-                                    activation="tanh", seed=77)
+                                    activation=TANH, seed=77)
             x, _ = sim.prepare_inputs(cfg, fp.q_star, fp.q_star, 0.6)
             target = np.eye(10)[0]
             norms = sim.backward_gradients(cfg, x, target, 50)
@@ -238,7 +238,7 @@ class TestCriterion8:
         hp = mf.HyperParams(0.5, 0.1)
         fp = mf.fixed_point(hp, LINEAR)
         cfg = sim.NetworkConfig(depth=40, width=300, hp=hp,
-                                activation="linear", seed=4)
+                                activation=LINEAR, seed=4)
         x_a, x_b = sim.prepare_inputs(cfg, fp.q_star, fp.q_star, 0.6)
         target = np.eye(10)[0]
         cov = sim.backward_covariance(cfg, x_a, x_b, (target, target), 100)

@@ -155,6 +155,15 @@ class TestErrorRows:
         (["depth-scales", "--sigma-w-sq", "1.7", "--q0", "inf"], "q0_a must be finite"),
         (["simulate", "forward", "--depth", "2", "--width", "20", "--networks", "2",
           "--c0", "nan"], "c0 must lie in [-1, 1]"),
+        # the q* bracket's first upper end, sigma_w^2/rho + sigma_b^2 + 1, is inf
+        (["depth-scales", "--sigma-w-sq", "1e308", "--rho", "0.5"], "q* bracket overflows"),
+        (["phase-diagram", "--sigma-w-sq", "1e308", "--sigma-b-sq", "1e308"],
+         "q* bracket overflows"),
+        # petabyte arrays: the allocation fails at once on a 64-bit system
+        (["simulate", "gradients", "--depth", "2", "--width", "20", "--networks", "2",
+          "--classes", "1000000000000000"], "Unable to allocate"),
+        (["simulate", "forward", "--depth", "2", "--width", "20",
+          "--networks", "1000000000000000"], "Unable to allocate"),
     ])
     def test_error_row(self, argv, message, capsys):
         with warnings.catch_warnings():

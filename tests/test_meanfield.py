@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signalprop.activations import Activation, builtin
@@ -153,6 +153,10 @@ class TestFixedPoints:
         # The root's condition number 1 / (1 - sigma_w^2) = 1e4 magnifies
         # the map's rounding and the 61-node rule's E[z^2] = 1 + 4.4e-16.
         (0.9999, 0.05, 1e-11),
+        # roots far below the first solve's absolute tolerance of 1e-15
+        (0.5, 1e-20, 1e-12),
+        (0.99, 1e-200, 1e-12),
+        (0.5, 1e-300, 1e-12),
     ])
     def test_linear_closed_form(self, sw2, sb2, rel_tol):
         # q* = 500 lies far above the bracket's first upper end, 2.05.
@@ -272,6 +276,9 @@ class TestCorrelationSolverCost:
 @given(act=st.sampled_from([TANH, HARD_TANH]), sw2=st.floats(0.2, 4.0),
        sb2=st.floats(0.0, 0.3),
        rho=st.one_of(st.just(1.0), st.floats(0.8, 1.0)))
+# At sigma_w^2 = 1/phi'(0)^2 the root sqrt(sigma_b^2 / 2) = 7.7e-20 lies
+# where V(q) - q is rounding noise; the solve still returns a q*.
+@example(act=TANH, sw2=1.0, sb2=1.175494351e-38, rho=1.0)
 @settings(max_examples=60, deadline=None)
 def test_c_star_is_a_correlation_everywhere(act, sw2, sb2, rho):
     # The Mehler series is increasing and convex, so the solver needs no
@@ -648,6 +655,16 @@ class TestTrajectory:
         # one series per pair of variances, none per layer
         assert builds["series"] <= at_q_star + len(set(zip(traj.q_aa, traj.q_bb)))
 
+    def test_huge_variances_keep_their_correlation(self):
+        # With sigma_b^2 << sigma_w^2 the layer-1 correlation does not
+        # depend on sigma_w^2; at 1e160 the product of the two next
+        # variances overflows unless it is scaled.
+        huge = mf.iterate_trajectory(mf.HyperParams(1e160, 0.05), TANH, 0.8, 0.8, 0.6,
+                                     layers=1)
+        unit = mf.iterate_trajectory(mf.HyperParams(1.0, 0.0), TANH, 0.8, 0.8, 0.6,
+                                     layers=1)
+        assert abs(huge.c_ab[1] - unit.c_ab[1]) <= 1e-15
+
     def test_validation(self):
         hp = mf.HyperParams(1.7, 0.05)
         with pytest.raises(DomainError):
@@ -676,3 +693,16 @@ def test_q_star_is_a_root_at_its_evaluation_count(act, fraction, sb2, rho):
     if not fp.degenerate:
         residual = abs(mf.variance_map(fp.q_star, hp, act) - fp.q_star)
         assert residual <= 1e-14 * max(1.0, fp.q_star)
+
+
+@given(act=st.sampled_from([TANH, HARD_TANH]), fraction=st.floats(0.01, 0.9),
+       log_sb2=st.floats(math.log(1e-300), math.log(1e-3)),
+       rho=st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True)))
+@settings(max_examples=200, deadline=None)
+def test_small_q_star_is_a_relative_root(act, fraction, log_sb2, rho):
+    # sigma_w^2 / rho <= 0.9 and sigma_b^2 log-uniform in [1e-300, 1e-3],
+    # so q* <= 10 sigma_b^2, mostly far below the first solve's absolute
+    # tolerance of 1e-15.
+    hp = mf.HyperParams(fraction * rho, math.exp(log_sb2), rho)
+    q_star, _ = mf.solve_q_star(hp, act)
+    assert abs(mf.variance_map(q_star, hp, act) - q_star) <= 1e-12 * q_star

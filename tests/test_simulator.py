@@ -9,15 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signalprop.activations import builtin
+from signalprop.activations import Activation, builtin
 from signalprop.errors import ConfigurationError, DegenerateVarianceError, DomainError
 from signalprop import meanfield as mf
 from signalprop import simulator as sim
 
+TANH = builtin("tanh")
+LINEAR = builtin("linear")
+
+#: Both backward modes, under the ids of the --backprop-weights choices.
+BACKWARD_MODES = pytest.mark.parametrize("tied", [True, False], ids=["tied", "independent"])
+
 
 def make_config(**overrides):
     defaults = dict(depth=8, width=120, hp=mf.HyperParams(1.7, 0.05),
-                    activation="tanh", seed=7)
+                    activation=TANH, seed=7)
     defaults.update(overrides)
     return sim.NetworkConfig(**defaults)
 
@@ -26,7 +32,6 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs,exc", [
         (dict(depth=0), DomainError),
         (dict(width=0), DomainError),
-        (dict(backprop_weights="random"), ConfigurationError),
         (dict(seed=-1), DomainError),
     ])
     def test_validation(self, kwargs, exc):
@@ -106,7 +111,7 @@ class TestReproducibility:
 
     def test_backward_modes_differ(self):
         cfg_tied = make_config()
-        cfg_ind = make_config(backprop_weights="independent")
+        cfg_ind = make_config(tied=False)
         x, _ = sim.prepare_inputs(cfg_tied, 0.8, 0.8, 0.6)
         target = np.eye(10)[0]
         tied = sim.backward_gradients(cfg_tied, x, target, 3)
@@ -120,18 +125,39 @@ class TestForwardAgreement:
         cfg = make_config(depth=15, width=400, hp=hp, seed=3)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         emp = sim.forward_pair(cfg, x_a, x_b, 40)
-        traj = mf.iterate_trajectory(hp, builtin("tanh"), q0_a=0.8, q0_b=0.8,
+        traj = mf.iterate_trajectory(hp, TANH, q0_a=0.8, q0_b=0.8,
                                      c0=0.6, layers=15)
         for l in range(15):
             assert abs(emp.q_aa_hat[l] - traj.q_aa[l]) < 6 * emp.q_aa_stderr[l]
             assert abs(emp.c_ab_hat[l] - traj.c_ab[l]) < max(
                 6 * emp.c_ab_stderr[l], 0.01)
 
+    def test_activation_defined_here_runs_through_the_kernel(self):
+        # The kernel calls the configured object, so an activation outside
+        # the built-in table runs as tanh does: erf, phi' = 2/sqrt(pi) e^(-x^2).
+        from scipy.special import erf
+
+        def d_erf(x):
+            return 2.0 / math.sqrt(math.pi) * np.exp(-np.square(x))
+
+        act = Activation(name="erf", phi=erf, d_phi=d_erf,
+                         dd_phi=lambda x: -2.0 * x * d_erf(x), bounded=True)
+        hp = mf.HyperParams(1.7, 0.05)
+        cfg = make_config(depth=15, width=400, hp=hp, activation=act, seed=3)
+        x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
+        emp = sim.forward_pair(cfg, x_a, x_b, 40)
+        q_a, q_b, c = sim.input_moments(cfg, x_a, x_b)
+        traj = mf.iterate_trajectory(hp, act, q0_a=q_a, q0_b=q_b, c0=c, layers=15)
+        assert emp.truncated_at is None
+        for l in range(15):
+            assert abs(emp.q_aa_hat[l] - traj.q_aa[l]) < 5 * emp.q_aa_stderr[l]
+            assert abs(emp.c_ab_hat[l] - traj.c_ab[l]) < 5 * emp.c_ab_stderr[l]
+
     def test_linear_network_layer_zero_exact_mean(self):
         # For a linear net the layer-0 second moment is unbiased with a
         # known standard error of sqrt(2/width) q0 per realization.
         hp = mf.HyperParams(0.5, 0.1)
-        cfg = make_config(hp=hp, activation="linear", depth=2, width=300)
+        cfg = make_config(hp=hp, activation=LINEAR, depth=2, width=300)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         emp = sim.forward_pair(cfg, x_a, x_b, 100)
         assert abs(emp.q_aa_hat[0] - 0.8) < 6 * emp.q_aa_stderr[0]
@@ -151,7 +177,7 @@ class TestGradients:
 
     def test_gradient_slope_matches_chi1(self):
         hp = mf.HyperParams(2.5, 0.05)
-        act = builtin("tanh")
+        act = TANH
         fp = mf.fixed_point(hp, act)
         cfg = make_config(hp=hp, depth=40, width=300, seed=5)
         x, _ = sim.prepare_inputs(cfg, fp.q_star, fp.q_star, 0.6)
@@ -175,8 +201,8 @@ class TestGradients:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
-    def test_normals_drawn_per_network(self, monkeypatch, mode):
+    @BACKWARD_MODES
+    def test_normals_drawn_per_network(self, monkeypatch, tied):
         # At most N + 1 normals per row, network, layer and pass instead of
         # an N x N matrix, the readout included: C forward, N + 1 backward.
         # Biases are the weights' last column, with no stream of their own.
@@ -195,7 +221,7 @@ class TestKernel:
 
         monkeypatch.setattr(sim._Streams, "draw", counted)
         monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n_networks: 2)
-        cfg = make_config(depth=6, width=200, backprop_weights=mode)
+        cfg = make_config(depth=6, width=200, tied=tied)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         target = np.eye(10)[0]
         n_networks, k, n, depth = 3, 2, cfg.width, cfg.depth
@@ -237,14 +263,11 @@ class TestKernel:
                     drawn[layer, row] += values.shape[0]
             return original(streams, layer, role, method, out)
 
-        def counting(name):
-            act = builtin(name)
-            return dataclasses.replace(act, phi=lambda z: calls.append(1) or act.phi(z))
-
+        counting = dataclasses.replace(TANH, phi=lambda z: calls.append(1) or TANH.phi(z))
         monkeypatch.setattr(sim._Streams, "draw", counted)
-        monkeypatch.setattr(sim, "builtin", counting)
         monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n_networks: 2)
-        cfg = make_config(hp=mf.HyperParams(1.7, 0.05, 0.9), depth=6, width=50)
+        cfg = make_config(hp=mf.HyperParams(1.7, 0.05, 0.9), depth=6, width=50,
+                          activation=counting)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         emp = sim.forward_pair(cfg, x_a, x_b, 3)
         assert emp.truncated_at is None
@@ -263,7 +286,7 @@ class TestKernel:
         # where its first network overflows, and the next block's draws
         # move only at layers past the cut.
         hp = mf.HyperParams(sw2, 0.1, rho)
-        cfg = make_config(hp=hp, activation="linear", depth=depth, width=50, seed=1)
+        cfg = make_config(hp=hp, activation=LINEAR, depth=depth, width=50, seed=1)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         target = np.eye(10)[0]
         for n_networks, block in ((3, 3), (5, 2)):
@@ -307,16 +330,16 @@ class TestKernel:
         # term from the same normals; tied mode samples the weights given
         # both forward products, so a pair differs from a run alone in
         # realization (not in distribution).
-        for mode in sim.BACKPROP_MODES:
+        for tied in (True, False):
             cfg = make_config(hp=mf.HyperParams(2.5, 0.05, 0.9), depth=12, width=60,
-                              backprop_weights=mode)
+                              tied=tied)
             x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
             target = np.eye(10)[0]
             pair = sim._propagate(cfg, np.stack([x_a, x_b]), 2, np.stack([target, target]))
             alone = sim._propagate(cfg, np.stack([x_a]), 2, np.stack([target]))
             assert all(np.all(np.isfinite(single)) for single in alone)
             np.testing.assert_array_equal(pair[0][:, :, :1, :1], alone[0])
-            if mode == "independent":
+            if not tied:
                 np.testing.assert_array_equal(pair[1][:, :, :1, :1], alone[1])
 
     def test_identical_inputs_stay_identical(self):
@@ -344,29 +367,29 @@ class TestKernel:
 
 class TestBlocks:
     @staticmethod
-    def pair_run(monkeypatch, mode, n_networks, block=None):
+    def pair_run(monkeypatch, tied, n_networks, block=None):
         if block is not None:
             monkeypatch.setattr(sim, "_block_size", lambda cfg, k, n: block)
         cfg = make_config(hp=mf.HyperParams(2.5, 0.05, 0.8), depth=9, width=40,
-                          backprop_weights=mode)
+                          tied=tied)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         targets = np.stack([np.eye(10)[0], np.eye(10)[3]])
         return sim._propagate(cfg, np.stack([x_a, x_b]), n_networks, targets)
 
-    @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
-    def test_block_size_changes_no_bit(self, monkeypatch, mode):
-        runs = [self.pair_run(monkeypatch, mode, 5, block) for block in (1, 2, 5)]
+    @BACKWARD_MODES
+    def test_block_size_changes_no_bit(self, monkeypatch, tied):
+        runs = [self.pair_run(monkeypatch, tied, 5, block) for block in (1, 2, 5)]
         assert np.all(np.isfinite(runs[0][0])) and np.all(np.isfinite(runs[0][1]))
         for gram, grad in runs[1:]:
             np.testing.assert_array_equal(gram, runs[0][0])
             np.testing.assert_array_equal(grad, runs[0][1])
 
-    @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
-    def test_more_networks_extend_a_run(self, monkeypatch, mode):
+    @BACKWARD_MODES
+    def test_more_networks_extend_a_run(self, monkeypatch, tied):
         # Network i takes the i-th chunk of every stream, so a run's first
         # networks are a shorter run, block boundaries apart.
-        five = self.pair_run(monkeypatch, mode, 5, block=2)
-        three = self.pair_run(monkeypatch, mode, 3, block=2)
+        five = self.pair_run(monkeypatch, tied, 5, block=2)
+        three = self.pair_run(monkeypatch, tied, 3, block=2)
         np.testing.assert_array_equal(five[0][:3], three[0])
         np.testing.assert_array_equal(five[1][:3], three[1])
 
@@ -374,7 +397,7 @@ class TestBlocks:
         # Criterion 7's shape: unblocked, the stored pre-activations,
         # normals and bases of 50 networks would take about 85 MB.
         cfg = sim.NetworkConfig(depth=240, width=300, hp=mf.HyperParams(2.5, 0.05),
-                                activation="tanh", seed=77)
+                                activation=TANH, seed=77)
         x, _ = sim.prepare_inputs(cfg, 0.8, 0.8, 0.6)
         assert 3 * 50 * cfg.depth * cfg.width * 8 > 2.5 * sim._BLOCK_BYTES
         tracemalloc.start()
@@ -393,7 +416,7 @@ def dense_propagate(cfg, inputs, n_networks, targets, rng):
     ones (independent). One plain generator serves every draw; O(N^2)
     normals per layer, so only for small widths.
     """
-    act = builtin(cfg.activation)
+    act = cfg.activation
     depth, rho, k, n = cfg.depth, cfg.hp.rho, len(inputs), cfg.width
     hp, n_classes = cfg.hp, targets.shape[1]
 
@@ -417,27 +440,26 @@ def dense_propagate(cfg, inputs, n_networks, targets, rng):
         logits = fs[depth] @ w_up.T + biases(n_classes)
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         delta = p / p.sum(axis=1, keepdims=True) - targets
-        tied = cfg.backprop_weights == "tied"
-        back = w_up if tied else weights(n_classes)
+        back = w_up if cfg.tied else weights(n_classes)
         for l in range(depth - 1, -1, -1):
             delta = act.d_phi(zs[l]) * (delta @ back) * keep[l + 1]
             grad[net, l] = (delta @ delta.T) * (fs[l] @ fs[l].T)
-            back = ws[l] if tied else weights()
+            back = ws[l] if cfg.tied else weights()
     return gram, grad
 
 
 class TestDenseReference:
     @pytest.mark.parametrize("rho", [1.0, 0.7])
-    @pytest.mark.parametrize("mode", sim.BACKPROP_MODES)
-    def test_conditioned_sampler_matches_dense(self, mode, rho):
+    @BACKWARD_MODES
+    def test_conditioned_sampler_matches_dense(self, tied, rho):
         # Exact in distribution at any width: at N = 4 every per-layer mean
         # of a Gram entry and of a gradient dot product agrees with the
         # dense sampler's within 5 standard errors. A linear net with a
         # large sigma_w^2 ties its softmax to the weights strongly enough
         # that sampling tied backward weights as independent ones misses
         # by 7 to 9 standard errors at rho = 1.
-        cfg = make_config(hp=mf.HyperParams(3.0, 0.1, rho), activation="linear",
-                          depth=3, width=4, backprop_weights=mode, seed=21)
+        cfg = make_config(hp=mf.HyperParams(3.0, 0.1, rho), activation=LINEAR,
+                          depth=3, width=4, tied=tied, seed=21)
         x_a, x_b = sim.prepare_inputs(cfg, 0.8, 0.8, 0.3)
         inputs = np.stack([x_a, x_b])
         targets = np.stack([np.eye(10)[0], np.eye(10)[4]])
