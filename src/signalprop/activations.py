@@ -16,7 +16,11 @@ class Activation:
     All three callables are vectorized (accept and return numpy arrays).
     The package reads phi and d_phi; ``dd_phi`` is kept only for the
     benchmark's counting activation. ``bounded`` marks activations whose
-    range is bounded, which guarantees the variance map has a fixed point.
+    range is bounded, by any bound, not only 1: the variance map then has
+    a fixed point, and the q* solver doubles its bracket until it holds
+    one. An unbounded activation has one when V(q) - q falls to 0 as q
+    doubles; the solver raises NoFixedPointError at the first doubling
+    that does not lower it.
     """
 
     name: str

@@ -80,10 +80,6 @@ _CRITICAL_TOL = 1e-9
 _ROOT_MAX_ITERATIONS = 100
 _ROOT_RTOL = 8.9e-16
 
-#: q* roots below this with sigma_b^2 == 0 collapse to the exact
-#: degenerate fixed point q* = 0.
-_DEGENERATE_Q = 1e-8
-
 #: q* roots below this are solved again in log q: the first solve's
 #: absolute tolerance, 1e-15, is not a relative one there.
 _SMALL_Q = 1e-3
@@ -119,11 +115,21 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class FixedPoint:
+    """The fixed points (q*, c*) and the evaluation counts of their solvers.
+
+    ``degenerate`` is q* == 0 exactly: sigma_b^2 = 0 with a stable origin,
+    where the correlation is formally 0/0 and c* is its sigma_b^2 -> 0
+    limit, 1.
+    """
+
     q_star: float
     c_star: float
     iterations_q: int
     iterations_c: int
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.q_star == 0.0
 
 
 @dataclass(frozen=True)
@@ -175,13 +181,21 @@ class Spectrum:
     ``a_sq_series`` and ``b_sq_series``, the evaluators (``_series``) of
     sum_n a_n^2 c^n and sum_n b_n^2 c^n, each built once for every later
     read. A reader of phi' alone, such as ``chi1``, pays no pass of phi.
-    Package code gets its records from ``_spectrum``, which resolves the
-    default rule and shares one record per (activation, q, rule).
+    At q = 0, phi' is the constant phi'(0) and the record holds it exactly,
+    on every rule: ``d_phi_sq`` = ``phi_sq_rate`` = phi'(0)^2 and ``b`` =
+    phi'(0) e_0. Package code gets its records from ``_spectrum``, which
+    resolves the default rule and shares one record per (activation, q,
+    rule).
     """
 
     def __init__(self, act: Activation, q: float, quad: QuadratureRule):
         self.act, self.q, self.quad = act, q, quad
         self._root_q = math.sqrt(q)
+        if q == 0.0:
+            slope = float(act.d_phi(np.float64(0.0)))
+            self.d_phi_sq = self.phi_sq_rate = slope * slope
+            self.b = np.zeros(quad.order)
+            self.b[0] = slope
 
     @_lazy
     def _phi(self) -> np.ndarray:
@@ -189,7 +203,16 @@ class Spectrum:
 
     @_lazy
     def phi_sq(self) -> float:
-        return float(self.quad.weights @ self._phi ** 2)
+        """E[phi^2]. An unbounded phi's overflows at q near the largest
+        double, which raises NumericError; the check costs a bounded phi
+        nothing."""
+        if self.act.bounded:
+            return float(self.quad.weights @ self._phi ** 2)
+        with np.errstate(over="ignore"):
+            second = float(self.quad.weights @ self._phi ** 2)
+        if second == math.inf:
+            raise NumericError(f"E[phi^2] overflows at q={self.q}")
+        return second
 
     @_lazy
     def _d_phi(self) -> np.ndarray:
@@ -217,9 +240,7 @@ class Spectrum:
 
     @_lazy
     def phi_sq_rate(self) -> float:
-        """dE[phi^2]/dq = E[z phi phi'] / sqrt(q) (Stein), E[phi'^2] at q = 0."""
-        if self.q == 0.0:
-            return self.d_phi_sq
+        """dE[phi^2]/dq = E[z phi phi'] / sqrt(q) (Stein)."""
         stein = self.quad.nodes * self._phi * self._d_phi
         return float(self.quad.weights @ stein) / self._root_q
 
@@ -280,22 +301,6 @@ _cached_spectrum = lru_cache(maxsize=16)(Spectrum)
 def _spectrum(act: Activation, q: float, quad: QuadratureRule | None) -> Spectrum:
     """The shared record of phi at q, keyed by activation object, q and rule."""
     return _cached_spectrum(act, q, rule() if quad is None else quad)
-
-
-def _check_activation(act: Activation, hp: HyperParams) -> None:
-    if act.bounded:
-        return
-    if act.name == "linear":
-        if hp.effective_sigma_w_sq >= 1.0:
-            raise NoFixedPointError(
-                "linear activation has no variance fixed point for "
-                f"sigma_w_sq/rho = {hp.effective_sigma_w_sq} >= 1"
-            )
-        return
-    raise ConfigurationError(
-        f"activation {act.name!r} is unbounded; fixed-point computations "
-        "require a bounded activation (or linear with sigma_w_sq/rho < 1)"
-    )
 
 
 def variance_map(q: float, hp: HyperParams, act: Activation,
@@ -415,15 +420,19 @@ def solve_q_star(hp: HyperParams, act: Activation,
                  quad: QuadratureRule | None = None) -> tuple[float, int]:
     """Fixed point of the variance map V: the root of V(q) - q by Brent's method.
 
-    The only q* solver, with no start value and no fallback: every
-    activation that ``_check_activation`` admits has one fixed point.
-    The bracket's lower end is q = 0, where V(0) >= sigma_b^2 (1e-300
-    when sigma_b^2 = 0 and the origin is unstable). Its upper end
-    doubles from sigma_w^2/rho + sigma_b^2 + 1 until V(hi) < hi; for
-    |phi| <= 1 the first end already does, and for linear the doubling
-    ends because sigma_w^2/rho < 1. An end that overflows to inf raises
-    NumericError. V(lo) > lo at the lower end: V(0) >= sigma_b^2 > 0, and
-    with sigma_b^2 = 0 the map leaves the origin with slope > 1.
+    The only q* solver, with no start value and no fallback; whether a
+    fixed point exists is read off V itself. The bracket's lower end is
+    q = 0, where V(0) >= sigma_b^2. With sigma_b^2 = 0 and a stable
+    origin, (sigma_w^2/rho) phi'(0)^2 <= 1 on the record at q = 0, q* is
+    exactly 0.0, the only input that returns it. Otherwise the lower end
+    is 1e-300, which the map leaves with slope > 1. The upper end doubles from sigma_w^2/rho +
+    sigma_b^2 + 1 until V(hi) < hi. A bounded phi (any bound) always gets
+    there. For an unbounded one the end doubles only while V(q) - q keeps
+    falling; the first doubling that does not lower it raises
+    NoFixedPointError. That is exact when V - q is convex, as for maps
+    that grow at least linearly in q (linear, ReLU): linear at
+    sigma_w^2/rho >= 1 stops after one doubling. An end that overflows to
+    inf raises NumericError.
 
     The solve's tolerance is 1e-15 in q, so a root below ``_SMALL_Q`` is
     solved again in log q to 1e-15, between max(lo, sigma_b^2) and the
@@ -431,7 +440,6 @@ def solve_q_star(hp: HyperParams, act: Activation,
     Returns (q*, number of distinct q at which V was evaluated, both ends
     included): each is one pass of phi.
     """
-    _check_activation(act, hp)
     values = {}
 
     def displacement(q: float) -> float:
@@ -447,15 +455,19 @@ def solve_q_star(hp: HyperParams, act: Activation,
     if hp.sigma_b_sq == 0.0:
         # q = 0 is always a fixed point when phi(0) = 0; a positive one
         # exists only if the map leaves the origin with slope > 1.
-        if hp.effective_sigma_w_sq * float(act.d_phi(np.float64(0.0))) ** 2 <= 1.0:
+        if hp.effective_sigma_w_sq * _spectrum(act, 0.0, quad).d_phi_sq <= 1.0:
             return 0.0, 0
         lo = 1e-300
     f_lo = displacement(lo)
     hi = hp.effective_sigma_w_sq + hp.sigma_b_sq + 1.0
     f_hi = displacement(hi)
     while f_hi > 0.0:
-        hi *= 2.0
+        f_last, hi = f_hi, 2.0 * hi
         f_hi = displacement(hi)
+        if not act.bounded and f_hi >= f_last:
+            raise NoFixedPointError(
+                f"no variance fixed point at sigma_w_sq/rho={hp.effective_sigma_w_sq}, "
+                f"sigma_b_sq={hp.sigma_b_sq}: V(q) - q stops falling at q={hi}")
     q_star, _ = _bracketed_root(displacement, lo, hi, f_lo, f_hi, 1e-15)
     if q_star < _SMALL_Q:
         # Every evaluation is at exp(t), so the root's record is one of them.
@@ -512,11 +524,9 @@ def correlation_slope(hp: HyperParams, act: Activation, q_star: float,
     Mehler series sigma_w^2 sum_n b_n^2 c^n of phi' (b_n its Hermite
     coefficients at q*). At c = 1 it is sigma_w^2 E[phi'(sqrt(q*) z)^2] to
     rounding (discrete Parseval), the chi1 integral. Carries the bare
-    sigma_w^2 even with dropout. For the degenerate q* = 0 point the
-    integrand is constant and the slope reduces to sigma_w^2 phi'(0)^2.
+    sigma_w^2 even with dropout. At the degenerate q* = 0 the record's
+    b = phi'(0) e_0 makes the slope sigma_w^2 phi'(0)^2 exactly.
     """
-    if q_star == 0.0:
-        return hp.sigma_w_sq * float(act.d_phi(np.float64(0.0))) ** 2
     return hp.sigma_w_sq * _spectrum(act, q_star, quad).b_sq_series(c_star)
 
 
@@ -576,14 +586,15 @@ def fixed_point(hp: HyperParams, act: Activation,
 
     q* comes from ``solve_q_star``, the one bracketed solver, and c* from
     ``solve_c_star``; ``iterations_q`` and ``iterations_c`` are their
-    evaluation counts. With sigma_b^2 = 0 in the ordered phase the
-    variance collapses to zero and the correlation is formally 0/0; the
-    sigma_b^2 -> 0 limit is c* = 1, reported with ``degenerate=True``.
+    evaluation counts. Where q* is exactly 0 (sigma_b^2 = 0 with a stable
+    origin) the variance collapses and the correlation is formally 0/0;
+    the sigma_b^2 -> 0 limit c* = 1 is reported, and ``fp.degenerate``
+    holds. Any positive q*, however small, gets its c* solve.
     """
     q_star, iterations_q = solve_q_star(hp, act, quad)
-    if hp.sigma_b_sq == 0.0 and q_star < _DEGENERATE_Q:
+    if q_star == 0.0:
         return FixedPoint(q_star=0.0, c_star=1.0, iterations_q=iterations_q,
-                          iterations_c=0, degenerate=True)
+                          iterations_c=0)
     c_star, iterations_c = solve_c_star(hp, act, q_star, quad)
     return FixedPoint(q_star=q_star, c_star=c_star, iterations_q=iterations_q,
                       iterations_c=iterations_c)
@@ -610,8 +621,9 @@ def critical_sigma_w(sigma_b_sq: float, act: Activation,
 
     Only defined without dropout (dropout has no sharp critical point).
     At sigma_b^2 = 0 the fixed point is q* = 0 and chi1 = sigma_w^2
-    phi'(0)^2 exactly, which pins the boundary analytically. Elsewhere
-    Brent's method finds it in ``_CRITICAL_BRACKET`` to ``_CRITICAL_TOL``.
+    phi'(0)^2 exactly, from the record at q = 0, which pins the boundary
+    analytically. Elsewhere Brent's method finds it in
+    ``_CRITICAL_BRACKET`` to ``_CRITICAL_TOL``.
     """
     if not 0 <= sigma_b_sq < math.inf:
         raise DomainError(f"sigma_b_sq must be finite and >= 0, got {sigma_b_sq}")
@@ -619,9 +631,8 @@ def critical_sigma_w(sigma_b_sq: float, act: Activation,
         raise ConfigurationError(
             f"critical line requires a bounded activation, got {act.name!r}"
         )
-    slope0 = float(act.d_phi(np.float64(0.0))) ** 2
     if sigma_b_sq == 0.0:
-        return 1.0 / slope0
+        return 1.0 / _spectrum(act, 0.0, quad).d_phi_sq
 
     def excess(sigma_w_sq: float) -> float:
         hp = HyperParams(sigma_w_sq=sigma_w_sq, sigma_b_sq=sigma_b_sq, rho=1.0)

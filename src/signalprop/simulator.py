@@ -109,10 +109,8 @@ class EmpiricalTrajectory:
 
     q_aa_hat: np.ndarray
     q_aa_stderr: np.ndarray
-    q_bb_hat: np.ndarray
     c_ab_hat: np.ndarray
     c_ab_stderr: np.ndarray
-    n_networks: int
     truncated_at: int | None = None
 
 
@@ -532,10 +530,8 @@ def forward_pair(cfg: NetworkConfig, x_a: np.ndarray, x_b: np.ndarray,
     return EmpiricalTrajectory(
         q_aa_hat=q_aa_hat,
         q_aa_stderr=q_aa_stderr,
-        q_bb_hat=q_b.mean(axis=0),
         c_ab_hat=c_ab_hat,
         c_ab_stderr=c_ab_stderr,
-        n_networks=n_networks,
         truncated_at=cut,
     )
 

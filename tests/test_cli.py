@@ -1,4 +1,5 @@
 """CLI: argument handling, table formats, round-tripping, exit codes."""
+import contextlib
 import csv
 import io
 import json
@@ -10,8 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from signalprop import cli
+from signalprop.activations import builtin
 
 
 def run(argv, capsys):
@@ -164,6 +168,17 @@ class TestErrorRows:
           "--classes", "1000000000000000"], "Unable to allocate"),
         (["simulate", "forward", "--depth", "2", "--width", "20",
           "--networks", "1000000000000000"], "Unable to allocate"),
+        # one ulp below 1, the rule's E[z^2] = 1 + 4.4e-16 leaves linear's
+        # V(q) - q rising, so there is no root to bracket
+        (["phase-diagram", "--activation", "linear", "--sigma-w-sq", "0.9999999999999998",
+          "--sigma-b-sq", "0.87"],
+         "no variance fixed point at sigma_w_sq/rho=0.9999999999999998, sigma_b_sq=0.87"),
+        # linear's phi^2 overflows on the outer nodes, at the first upper end
+        # and at a root near the largest double
+        (["phase-diagram", "--activation", "linear", "--sigma-w-sq", "1e307"],
+         "E[phi^2] overflows at q=1e+307"),
+        (["phase-diagram", "--activation", "linear", "--sigma-w-sq", "0.5",
+          "--sigma-b-sq", "1e307"], "E[phi^2] overflows at q=1e+307"),
     ])
     def test_error_row(self, argv, message, capsys):
         with warnings.catch_warnings():
@@ -185,6 +200,63 @@ class TestErrorRows:
         rows = parse_csv(out)
         assert len(rows) == 1
         assert rows[0]["error"] == "synthetic inputs need width >= 2, got width=1"
+
+
+def _near(centre, low, high):
+    """centre +- 10^U(low, high)."""
+    return st.builds(lambda sign, e: centre + sign * 10.0 ** e,
+                     st.sampled_from([-1.0, 1.0]), st.floats(low, high))
+
+
+def _log_uniform(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _quad_orders(draw):
+    """The default rule four times in five, else an order from 2 to 201."""
+    if draw(st.integers(0, 4)):
+        return None
+    return draw(st.sampled_from([2, 3, 21, 61, 201]))
+
+
+@given(command=st.sampled_from(["phase-diagram", "critical-line", "depth-scales",
+                                "trainable-depth"]),
+       act=st.sampled_from(["tanh", "hard_tanh", "linear"]),
+       sw2=st.one_of(st.floats(0.01, 10.0), _log_uniform(-4.0, 1.0), _near(1.0, -16.0, -2.0)),
+       sb2=st.one_of(st.just(0.0), _log_uniform(-300.0, 0.0), st.floats(0.0, 1.0)),
+       rho=st.one_of(st.just(1.0), st.floats(0.5, 1.0),
+                     _log_uniform(-12.0, -1.0).map(lambda gap: 1.0 - gap)),
+       order=_quad_orders())
+# V(q) - q of linear one ulp below sigma_w^2 = 1 rises on the 61-node rule
+@example(command="phase-diagram", act="linear", sw2=0.9999999999999998, sb2=0.87,
+         rho=1.0, order=None)
+@settings(max_examples=60, deadline=None)
+def test_every_analytic_point_is_a_row(command, act, sw2, sb2, rho, order):
+    # A value, a flagged non-finite or a typed error row, everywhere in
+    # the domain: never a traceback or a numpy warning.
+    argv = [command, "--activation", act, "--sigma-b-sq", repr(sb2)]
+    if command != "critical-line":
+        argv += ["--sigma-w-sq", repr(sw2), "--rho", repr(rho)]
+    if order is not None:
+        argv += ["--quad-order", str(order)]
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error", RuntimeWarning)
+        status = cli.main(argv)
+    assert status in (cli.EXIT_OK, cli.EXIT_PARTIAL)
+    table = csv.DictReader(io.StringIO(out.getvalue()))
+    rows = list(table)
+    # phase-diagram adds a critical row for a bounded activation at rho = 1
+    critical = command == "phase-diagram" and builtin(act).bounded and rho == 1.0
+    assert len(rows) == 1 + critical
+    assert ("error" in table.fieldnames) == (status == cli.EXIT_PARTIAL)
+    for row in rows:
+        if row.get("error"):
+            continue
+        for column, cell in row.items():
+            if column not in ("phase", "error"):
+                float(cell)
 
 
 class TestCriticalLine:

@@ -44,6 +44,11 @@ ORACLE_C_STAR_25 = 0.44680423234438266
 
 HIGH = rule(201)
 
+#: Unbounded and defined here: E[relu(sqrt(q) z)^2] = q / 2.
+RELU = Activation(name="relu", phi=lambda x: np.maximum(x, 0.0),
+                  d_phi=lambda x: np.where(np.asarray(x) > 0.0, 1.0, 0.0),
+                  dd_phi=None, bounded=False)
+
 
 class TestHyperParams:
     @pytest.mark.parametrize("kwargs", [
@@ -168,6 +173,38 @@ class TestFixedPoints:
         with pytest.raises(NoFixedPointError):
             mf.solve_q_star(hp, LINEAR)
 
+    def test_unbounded_activation_defined_here(self):
+        # V(q) - q = sigma_b^2 - (1 - sigma_w^2 / 2) q falls at 1.5 and
+        # rises at 2.5, where one doubling of the upper end shows it.
+        q_star, _ = mf.solve_q_star(mf.HyperParams(1.5, 0.05), RELU)
+        assert math.isclose(q_star, 0.05 / (1.0 - 1.5 / 2.0), rel_tol=1e-12)
+        with pytest.raises(NoFixedPointError, match=r"sigma_w_sq/rho=2\.5, sigma_b_sq=0\.05"):
+            mf.solve_q_star(mf.HyperParams(2.5, 0.05), RELU)
+
+    def test_bounded_activation_beyond_the_first_upper_end(self):
+        # |10 tanh| <= 10: V(q) - q rises over the first doublings from
+        # 2.05, and only the bound says that the doubling ends.
+        tanh10 = Activation(name="tanh10", phi=lambda x: 10.0 * np.tanh(x),
+                            d_phi=lambda x: 10.0 * TANH.d_phi(x), dd_phi=None,
+                            bounded=True)
+        hp = mf.HyperParams(1.0, 0.05)
+        q_star, _ = mf.solve_q_star(hp, tanh10)
+        assert q_star > 4.1
+        assert abs(mf.variance_map(q_star, hp, tanh10) - q_star) <= 1e-12 * q_star
+
+    def test_tanh_just_above_the_zero_bias_critical_point(self):
+        # q* = (sigma_w^2 - 1) / 2 to leading order: a positive root, not
+        # the degenerate point. The variance map's slope there is about
+        # 1 - (sigma_w^2 - 1), and chi1 is 1 to rounding.
+        hp = mf.HyperParams(1.0 + 1e-8, 0.0)
+        fp = mf.fixed_point(hp, TANH)
+        assert math.isclose(fp.q_star, 5.0e-9, rel_tol=1e-6)
+        assert math.isclose(mf.variance_map(fp.q_star, hp, TANH), fp.q_star, rel_tol=1e-12)
+        assert not fp.degenerate
+        scales = mf.depth_scales(hp, TANH, fp=fp)
+        assert 1e7 < scales.xi_q < math.inf
+        assert scales.xi_c == math.inf
+
 
 class TestBracketedRoot:
     @pytest.mark.parametrize("xtol", [1e-15, 1e-12, 1e-9])
@@ -290,6 +327,35 @@ def test_c_star_is_a_correlation_everywhere(act, sw2, sb2, rho):
         # Phase and c* rest on the same slope: c* = 1 exactly when ordered.
         chi = mf.chi1(hp, act, fp.q_star)
         assert (fp.c_star == 1.0) == (chi <= 1.0 + mf.CRITICALITY_TOL)
+
+
+@st.composite
+def zero_bias_neighbourhood(draw):
+    """(activation, sigma_w^2, sigma_b^2) at rho = 1, half of them at
+    sigma_b^2 = 0 and many within 1e-5 of sigma_w^2 = 1/phi'(0)^2."""
+    act = draw(st.sampled_from([TANH, HARD_TANH, LINEAR]))
+    near_one = st.builds(lambda sign, e: 1.0 + sign * 10.0 ** e,
+                         st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -5.0))
+    sw2 = draw(st.floats(0.1, 0.99) if act is LINEAR
+               else st.one_of(near_one, st.floats(0.1, 4.0)))
+    sb2 = draw(st.one_of(st.just(0.0), st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)))
+    return act, sw2, sb2
+
+
+@given(zero_bias_neighbourhood())
+# q* = 2.4e-9: a positive root, which its row must not report as q* = 0
+@example((TANH, 1.0000000048, 0.0))
+@settings(max_examples=200, deadline=None)
+def test_phase_c_star_and_degeneracy_agree(point):
+    act, sw2, sb2 = point
+    hp = mf.HyperParams(sw2, sb2)
+    fp = mf.fixed_point(hp, act)
+    phase = mf.phase_of(mf.chi1(hp, act, fp.q_star))
+    if phase == "ordered":
+        assert fp.c_star == 1.0
+    if phase == "chaotic":
+        assert fp.c_star < 1.0
+    assert fp.degenerate == (fp.q_star == 0.0)
 
 
 class TestDepthScales:
@@ -558,6 +624,13 @@ HARD_TANH_Q_FIXED = float(mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), HARD_
                                                 layers=100).q_aa[-1])
 
 
+@pytest.fixture
+def fresh_records():
+    """An empty record cache, so that a count does not depend on the
+    records that earlier tests left behind."""
+    mf._cached_spectrum.cache_clear()
+
+
 class TestTrajectory:
     def test_converges_to_fixed_point(self):
         hp = mf.HyperParams(1.7, 0.05)
@@ -621,6 +694,7 @@ class TestTrajectory:
         assert traj.q_aa[-1] == traj.q_aa[-2] and traj.q_bb[-1] == traj.q_bb[-2]
 
     @pytest.mark.parametrize("q0_b", [0.8, 0.3])
+    @pytest.mark.usefixtures("fresh_records")
     def test_records_fetched_only_when_a_variance_moves(self, monkeypatch, q0_b):
         fetched = []
         fetch = mf._spectrum
@@ -639,6 +713,7 @@ class TestTrajectory:
         (1.7, 1),   # ordered, c* = 1: b_n^2 for the slopes only
         (2.5, 2),   # chaotic: a_n^2 for the c* solve as well
     ])
+    @pytest.mark.usefixtures("fresh_records")
     def test_each_series_is_built_once(self, monkeypatch, sw2, at_q_star, q0_b):
         builds = Counter()
         build = mf._series
