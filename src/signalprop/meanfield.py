@@ -26,9 +26,12 @@ rounding unit (2^-53) of sum_n |p_n|, so for |c| <= 1 the trim moves a
 sum by less than 2^-52 sum_n |p_n|. A record builds its series of a_n^2
 and of b_n^2 once, on first read, for the readers that come back to it:
 ``covariance_map`` at q_a = q_b, ``solve_c_star``, ``correlation_slope``
-and trajectories. A trajectory asks the cache for the record of each
-variance while the variances move; once neither moves, the remaining
-layers run a loop on c alone.
+and trajectories. One helper, ``_pair_series``, picks the series of a
+pair of variances for the covariance map and for trajectories, and one,
+``_root_product``, forms the norm sqrt(q_a q_b) that every correlation
+is divided by, without overflow. A trajectory is one loop over layers
+that asks the cache for the record of each variance while the variances
+move; once neither moves, a layer is one series evaluation in c.
 
 With dropout keep-probability rho < 1 the variance map carries the
 effective weight variance sigma_w^2 / rho, while the covariance map keeps
@@ -316,7 +319,8 @@ def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
     """One step of the pair-covariance recursion (unnormalized).
 
     The Mehler series sigma_w^2 sum_n a_n(q_a) a_n(q_b) c^n + sigma_b^2 up
-    to the quadrature order, summed by ``_series``; at c = 1, q_a = q_b it
+    to the quadrature order, summed by the series ``_pair_series`` picks
+    (at q_a = q_b the record's own series of a_n^2); at c = 1, q_a = q_b it
     reproduces the variance map's second moment to rounding (discrete
     Parseval).
     """
@@ -325,26 +329,49 @@ def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
     if abs(c) > 1:
         raise DomainError(f"correlation must lie in [-1, 1], got {c}")
     spec_a = _spectrum(act, q_a, quad)
-    if q_a == q_b:
-        series = spec_a.a_sq_series
-    else:
-        series = _series(spec_a.a * _spectrum(act, q_b, quad).a)
+    series = _pair_series(spec_a, spec_a if q_b == q_a else _spectrum(act, q_b, quad))
     return hp.sigma_w_sq * series(c) + hp.sigma_b_sq
+
+
+def _pair_series(spec_a: Spectrum, spec_b: Spectrum):
+    """The series c -> sum_n a_n(q_a) a_n(q_b) c^n of the records at q_a and q_b.
+
+    Equal variances share one record, whose own series of a_n^2 is built
+    once for every reader; other pairs get a series of their own.
+    """
+    return spec_a.a_sq_series if spec_a is spec_b else _series(spec_a.a * spec_b.a)
+
+
+def _root_product(q_a: float, q_b: float) -> float:
+    """sqrt(q_a q_b), the norm of a covariance, for q_a, q_b >= 0.
+
+    Formed from the variances scaled by the power of two at the bottom of
+    the larger one's binade, so it neither overflows nor underflows where
+    only the product q_a * q_b does. The scaling is exact and the root
+    correctly rounded: wherever q_a * q_b is a normal double and the
+    smaller variance is at least 2^-1021 times the larger, the result is
+    bit for bit sqrt(q_a * q_b). A scaled product of 0 (a zero variance,
+    or variances some 1e323 apart) raises DegenerateVarianceError.
+    """
+    scale = math.ldexp(0.5, math.frexp(max(q_a, q_b))[1])
+    root = math.sqrt((q_a / scale) * (q_b / scale)) * scale
+    if root == 0.0:
+        raise DegenerateVarianceError(f"correlation undefined for q_a={q_a}, q_b={q_b}")
+    return root
 
 
 def correlation_map(c: float, q_a: float, q_b: float, hp: HyperParams,
                     act: Activation, quad: QuadratureRule | None = None) -> float:
-    """Next-layer correlation, normalized by the input variances.
+    """Next-layer correlation: the covariance map over sqrt(q_a q_b).
 
     Exact when q_a and q_b already sit at their fixed point (the regime in
     which c-fixed points are solved, since the variance relaxes much
-    faster than the correlation).
+    faster than the correlation). The norm comes from ``_root_product``,
+    so variances whose product overflows or underflows (1e200, 1e-200)
+    still give the map's value; a zero variance raises
+    DegenerateVarianceError.
     """
-    if q_a * q_b == 0:
-        raise DegenerateVarianceError(
-            f"correlation undefined for q_a={q_a}, q_b={q_b}"
-        )
-    return covariance_map(c, q_a, q_b, hp, act, quad) / math.sqrt(q_a * q_b)
+    return covariance_map(c, q_a, q_b, hp, act, quad) / _root_product(q_a, q_b)
 
 
 def _bracketed_root(f, a: float, b: float, f_a: float, f_b: float,
@@ -669,15 +696,15 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
 
     Tracks q_aa, q_bb, and q_ab layer by layer; the reported correlation
     is q_ab normalized by the same-layer variances (no fixed-point
-    approximation). Each layer whose variances still move reads the
-    shared record of each variance, and an input whose variance equals
-    the other's shares its record and its series of a_n^2. Once both next
-    variances equal the current ones bit for bit they stay put, and the
-    remaining layers run a loop on c alone: one series evaluation and a
-    clamp per layer. The norm sqrt(q_a q_b) is formed from variances
-    scaled by a power of two, so it does not overflow at huge sigma_w^2
-    and is bit-identical elsewhere. A layer whose variances multiply to 0
-    (exactly, or by underflow) raises DegenerateVarianceError.
+    approximation), clamped to [-1, 1]. One loop runs over the layers.
+    While a variance moves, a layer reads the shared record of each
+    variance, the pair's series (``_pair_series``: equal variances share
+    a record and its series of a_n^2) and the norm sqrt(q_a q_b) of the
+    next variances (``_root_product``, which does not overflow at huge
+    sigma_w^2). Once both next variances equal the current ones bit for
+    bit they stay put, and every later layer reuses that series and norm:
+    one series evaluation and a clamp. A layer whose next variances have
+    a scaled product of 0 raises DegenerateVarianceError.
     """
     if layers < 1:
         raise DomainError(f"layers must be >= 1, got {layers}")
@@ -690,34 +717,20 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
     q_a, q_b, c = float(q0_a), float(q0_b), float(c0)
     q_aa, q_bb, c_ab = [q_a], [q_b], [c]
     weight, bias = hp.sigma_w_sq, hp.sigma_b_sq
-    remaining = layers
-    while remaining:
-        spec_a = _spectrum(act, q_a, quad)
-        spec_b = spec_a if q_b == q_a else _spectrum(act, q_b, quad)
-        q_a_next, q_b_next = spec_a.next_variance(hp), spec_b.next_variance(hp)
-        series = spec_a.a_sq_series if q_a == q_b else _series(spec_a.a * spec_b.a)
-        # Scaled by the power of two at the bottom of the larger variance's
-        # binade, which is exact, the product cannot overflow.
-        scale = math.ldexp(0.5, math.frexp(max(q_a_next, q_b_next))[1])
-        norm = math.sqrt((q_a_next / scale) * (q_b_next / scale)) * scale
-        if norm == 0.0:
-            raise DegenerateVarianceError(
-                f"correlation undefined for q_a={q_a_next}, q_b={q_b_next}"
-            )
-        if q_a_next == q_a and q_b_next == q_b:
-            break
+    moving = True
+    for _ in range(layers):
+        if moving:
+            spec_a = _spectrum(act, q_a, quad)
+            spec_b = spec_a if q_b == q_a else _spectrum(act, q_b, quad)
+            q_a_next, q_b_next = spec_a.next_variance(hp), spec_b.next_variance(hp)
+            series = _pair_series(spec_a, spec_b)
+            norm = _root_product(q_a_next, q_b_next)
+            moving = q_a_next != q_a or q_b_next != q_b
+            q_a, q_b = q_a_next, q_b_next
         c = (weight * series(c) + bias) / norm
         c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
-        q_a, q_b = q_a_next, q_b_next
         q_aa.append(q_a)
         q_bb.append(q_b)
         c_ab.append(c)
-        remaining -= 1
-    for _ in range(remaining):
-        c = (weight * series(c) + bias) / norm
-        c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
-        c_ab.append(c)
-    q_aa += [q_a] * remaining
-    q_bb += [q_b] * remaining
     return Trajectory(layers=layers, q_aa=np.array(q_aa), q_bb=np.array(q_bb),
                       c_ab=np.array(c_ab))

@@ -56,7 +56,7 @@ import numpy as np
 
 from .activations import Activation
 from .errors import ConfigurationError, DegenerateVarianceError, DomainError, NumericError
-from .meanfield import HyperParams
+from .meanfield import HyperParams, _root_product
 
 # Stream roles. The inputs' stream is seeded from the spawn key
 # (0, 0, _ROLE_INPUT); the network streams are keyed by position.
@@ -329,7 +329,12 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
     shared bias correlates even opposite ones. A c0 outside that range is
     clamped to its nearer end (the cosine of the inputs' angle is clamped
     to +/-1); :func:`input_moments` gives the moments realized. The two
-    inputs span a plane, so the width must be at least 2.
+    inputs span a plane, so the width must be at least 2. sqrt(q0_a q0_b)
+    and the norm of the two input scales N rho (q0 - sigma_b^2) /
+    sigma_w^2 come from ``meanfield._root_product``, so products that
+    overflow (q0 = 1e200) or underflow (sigma_w^2 = 1e250) are no error;
+    a scale that is itself 0 or inf, or a dot target that is not finite,
+    raises NumericError.
     """
     hp = cfg.hp
     if cfg.width < 2:
@@ -345,15 +350,14 @@ def prepare_inputs(cfg: NetworkConfig, q0_a: float, q0_b: float,
     n = cfg.width
     norm_a_sq = n * hp.rho * (q0_a - hp.sigma_b_sq) / hp.sigma_w_sq
     norm_b_sq = n * hp.rho * (q0_b - hp.sigma_b_sq) / hp.sigma_w_sq
-    dot_target = n * (c0 * math.sqrt(q0_a * q0_b) - hp.sigma_b_sq) / hp.sigma_w_sq
-    # The product underflows to 0 before either scale does; the angle
-    # below is then 0/0.
-    if not (0.0 < norm_a_sq * norm_b_sq < math.inf and math.isfinite(dot_target)):
+    dot_target = n * (c0 * _root_product(q0_a, q0_b) - hp.sigma_b_sq) / hp.sigma_w_sq
+    if not (0.0 < norm_a_sq < math.inf and 0.0 < norm_b_sq < math.inf
+            and math.isfinite(dot_target)):
         raise NumericError(
             "input scale N rho (q0 - sigma_b^2) / sigma_w^2 or its dot target is "
             f"not finite, or the scale underflows, at sigma_w_sq={hp.sigma_w_sq}, width={n}"
         )
-    cos_theta = dot_target / math.sqrt(norm_a_sq * norm_b_sq)
+    cos_theta = dot_target / _root_product(norm_a_sq, norm_b_sq)
     cos_theta = min(1.0, max(-1.0, cos_theta))
     sin_theta = math.sqrt(1.0 - cos_theta * cos_theta)
 
@@ -378,16 +382,17 @@ def input_moments(cfg: NetworkConfig, x_a: np.ndarray,
 
     E[z_a z_b] = sigma_w^2 (x_a . x_b) / N + sigma_b^2 for two inputs with
     independent masks, and a mask scales its own input's squared norm by
-    1 / rho on average.
+    1 / rho on average. The correlation is divided by
+    ``meanfield._root_product``, so it needs no finite product q_a q_b; a
+    variance that is 0 or not finite raises DegenerateVarianceError.
     """
     hp, n = cfg.hp, cfg.width
     q_a = hp.sigma_w_sq * float(x_a @ x_a) / (hp.rho * n) + hp.sigma_b_sq
     q_b = hp.sigma_w_sq * float(x_b @ x_b) / (hp.rho * n) + hp.sigma_b_sq
     q_ab = hp.sigma_w_sq * float(x_a @ x_b) / n + hp.sigma_b_sq
-    if not 0.0 < q_a * q_b < math.inf:
-        raise DegenerateVarianceError(
-            f"input correlation undefined for q_a={q_a}, q_b={q_b}")
-    return q_a, q_b, min(1.0, max(-1.0, q_ab / math.sqrt(q_a * q_b)))
+    if not (q_a < math.inf and q_b < math.inf):
+        raise DegenerateVarianceError(f"input correlation undefined for q_a={q_a}, q_b={q_b}")
+    return q_a, q_b, min(1.0, max(-1.0, q_ab / _root_product(q_a, q_b)))
 
 
 def _propagate(cfg: NetworkConfig, inputs: np.ndarray, n_networks: int,

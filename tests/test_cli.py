@@ -146,9 +146,10 @@ class TestErrorRows:
          "fit window needs 0 < floor < ceiling"),
         (["depth-scales", "--fit-floor", "0"], "fit window needs 0 < floor < ceiling"),
         (["depth-scales", "--depth", "-3"], "layers must be >= 1"),
-        # the product of the two input scales underflows to 0
-        (["simulate", "forward", "--sigma-w-sq", "1e250", "--depth", "4", "--width", "20",
-          "--networks", "2"], "input scale N rho (q0 - sigma_b^2) / sigma_w^2"),
+        # the input scale itself, 2 * 1e-300 / 1e308, underflows to 0
+        (["simulate", "forward", "--sigma-w-sq", "1e308", "--q0", "1e-300", "--sigma-b-sq",
+          "0", "--depth", "4", "--width", "2", "--networks", "2"],
+         "input scale N rho (q0 - sigma_b^2) / sigma_w^2"),
         # tanh' underflows: every gradient norm is 0
         (["simulate", "gradients", "--sigma-w-sq", "1e100", "--depth", "4", "--width", "20",
           "--networks", "2"], "Monte Carlo truncated at layer 0"),
@@ -417,6 +418,22 @@ class TestSimulate:
         rows = parse_csv(out)
         assert len(rows) == 1
         assert "not finite" in rows[0]["error"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--q0", "1e200", "--depth", "3"],          # q0_a q0_b overflows
+        ["--sigma-w-sq", "1e250", "--depth", "4"],  # the input scales' product underflows
+    ])
+    def test_input_scales_whose_product_leaves_the_double_range(self, flags, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out = run(["simulate", "forward", *flags, "--width", "20",
+                               "--networks", "2"], capsys)
+        assert status == 0
+        rows = parse_csv(out)
+        assert len(rows) == int(flags[-1])
+        q0 = float(flags[1]) if flags[0] == "--q0" else 0.8
+        assert math.isclose(float(rows[0]["q_aa_theory"]), q0, rel_tol=1e-15)
+        assert abs(float(rows[0]["c_ab_theory"]) - 0.6) <= 1e-15
 
     def test_huge_variances_keep_finite_statistics(self, capsys):
         # q_a q_b and the squares of the spread overflow where each

@@ -98,12 +98,37 @@ class TestMaps:
         with pytest.raises(DegenerateVarianceError):
             mf.correlation_map(0.5, 0.0, 1.0, hp, TANH)
 
+    def test_correlation_map_at_variances_whose_product_overflows(self):
+        # 1e200 * 1e200 overflows and 1e-200 * 1e-200 underflows; the norm
+        # sqrt(q_a q_b) is 1e200 and 1e-200 all the same
+        hp = mf.HyperParams(1.5, 0.1)
+        linear = mf.correlation_map(0.5, 1e200, 1e200, hp, LINEAR)
+        # sigma_w^2 c, up to the rule's E[z^2] = 1 + 4.4e-16: 0.7500000000000006
+        assert math.isclose(linear, 0.75, rel_tol=1e-15)
+        for q in (1e200, 1e-200):
+            for act in (TANH, LINEAR):
+                assert (mf.correlation_map(0.5, q, q, hp, act)
+                        == mf.covariance_map(0.5, q, q, hp, act) / q)
+
     def test_covariance_map_bias_floor(self):
         # With c = 0 and an odd activation the Gaussian moment vanishes,
         # leaving exactly sigma_b_sq.
         hp = mf.HyperParams(1.7, 0.05)
         value = mf.covariance_map(0.0, 0.8, 0.8, hp, TANH)
         assert math.isclose(value, 0.05, abs_tol=1e-15)
+
+
+@given(act=st.sampled_from([TANH, LINEAR]), log_q_a=st.floats(-300.0, 300.0),
+       log_ratio=st.floats(-300.0, 300.0), c=st.floats(-1.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_correlation_map_divides_by_the_root_of_each_variance(act, log_q_a, log_ratio, c):
+    # q_a, q_b = 10^U(-300, 300) no more than 300 decades apart, so the
+    # product q_a q_b leaves the double range on a large share of examples
+    log_q_b = min(300.0, max(-300.0, log_q_a + log_ratio))
+    q_a, q_b = 10.0 ** log_q_a, 10.0 ** log_q_b
+    hp = mf.HyperParams(1.5, 0.1)
+    reference = mf.covariance_map(c, q_a, q_b, hp, act) / (math.sqrt(q_a) * math.sqrt(q_b))
+    assert abs(mf.correlation_map(c, q_a, q_b, hp, act) - reference) <= 4 * math.ulp(reference)
 
 
 class TestFixedPoints:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signalprop.activations import Activation, builtin
@@ -67,6 +67,10 @@ class TestInputs:
     @given(sigma_w_sq=st.floats(0.1, 10.0), sigma_b_sq=st.floats(0.0, 1.0),
            rho=st.floats(0.1, 1.0), excess=st.floats(1e-3, 10.0),
            c0=st.floats(-1.0, 1.0), width=st.integers(2, 300), seed=st.integers(0, 2 ** 32))
+    # q0_a q0_b and the product of the input scales overflow
+    @example(sigma_w_sq=1.0, sigma_b_sq=0.05, rho=1.0, excess=1e200, c0=0.6, width=120, seed=7)
+    # the product of the input scales underflows
+    @example(sigma_w_sq=1e250, sigma_b_sq=0.05, rho=1.0, excess=0.75, c0=0.6, width=120, seed=7)
     def test_input_moments_invert_prepare_inputs(self, sigma_w_sq, sigma_b_sq, rho,
                                                  excess, c0, width, seed):
         cfg = make_config(hp=mf.HyperParams(sigma_w_sq, sigma_b_sq, rho=rho),
