@@ -17,21 +17,30 @@ q, quadrature rule), a :class:`Spectrum`, made from one pass of phi and at
 most one of phi' over the nodes. All records come from one small cache,
 ``_spectrum``, so the record at q* that the q* solver evaluated is the one
 that ``chi1``, ``xi_q``, the c* solver and ``correlation_slope`` read, and
-a second solve at the same point makes no pass of phi.
+a second solve at the same point makes no pass of phi. phi itself is
+evaluated in one place, ``_phi_pass``, which gives the node values and
+E[phi^2] to records and trajectories alike.
 
-Every Mehler series is summed by one evaluator, ``_series``: Horner's rule
-in c^2 on Python floats, with the even and the odd terms kept apart and
-each trimmed of the trailing terms whose absolute sum is below one
-rounding unit (2^-53) of sum_n |p_n|, so for |c| <= 1 the trim moves a
-sum by less than 2^-52 sum_n |p_n|. A record builds its series of a_n^2
-and of b_n^2 once, on first read, for the readers that come back to it:
-``covariance_map`` at q_a = q_b, ``solve_c_star``, ``correlation_slope``
-and trajectories. One helper, ``_pair_series``, picks the series of a
-pair of variances for the covariance map and for trajectories, and one,
-``_root_product``, forms the norm sqrt(q_a q_b) that every correlation
-is divided by, without overflow. A trajectory is one loop over layers
-that asks the cache for the record of each variance while the variances
-move; once neither moves, a layer is one series evaluation in c.
+Every Mehler series of a record is summed by one evaluator, ``_series``:
+Horner's rule in c^2 on Python floats, with the even and the odd terms
+kept apart and each trimmed of the trailing terms whose running absolute
+sum, added in order from the highest power down, stays below one rounding
+unit (2^-53) of sum_n |p_n|, so for |c| <= 1 the trim moves a sum by less
+than 2^-52 sum_n |p_n|. A record builds its series of a_n^2 and of b_n^2
+once, on first read, for the readers that come back to it:
+``covariance_map`` at q_a = q_b, ``solve_c_star`` and
+``correlation_slope``. One helper, ``_root_product``, forms the norm
+sqrt(q_a q_b) that every correlation is divided by, without overflow.
+
+A trajectory makes no record and builds no ``_series``; it runs in two
+passes over blocks of at most ``_TRAJECTORY_BLOCK`` layers. The first
+iterates the variances alone, one ``_phi_pass`` per new variance, and
+forms each layer's norm. The second takes every moving layer's Hermite
+coefficients from one stacked product with the Hermite matrix, trims all
+their series at once by ``_series``' rule (``_trimmed_rows``), and runs
+the correlation through them by Horner's rule. Once neither variance
+moves, the last layer's terms and norm serve every later layer, so a
+layer is one series evaluation in c.
 
 With dropout keep-probability rho < 1 the variance map carries the
 effective weight variance sigma_w^2 / rho, while the covariance map keeps
@@ -52,8 +61,10 @@ in Stein form, E[z phi phi'] / sqrt(q), which needs no phi'' at kinks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -66,7 +77,7 @@ from .errors import (
     NoFixedPointError,
     NumericError,
 )
-from .quadrature import QuadratureRule, hermite_matrix, node_values, rule
+from .quadrature import QuadratureRule, finite_at_nodes, hermite_matrix, node_values, rule
 
 #: |factor - 1| below this counts as criticality (depth scale +inf).
 CRITICALITY_TOL = 1e-12
@@ -89,6 +100,10 @@ _SMALL_Q = 1e-3
 
 #: One rounding unit of a double, the trim bound of ``_series``.
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+#: Most layers whose node values a trajectory holds at once: it bounds
+#: memory where the variances never stop moving (sigma_b^2 = 0, ordered).
+_TRAJECTORY_BLOCK = 256
 
 DEFAULT_Q0 = 0.8
 DEFAULT_C0 = 0.6
@@ -176,9 +191,10 @@ class _lazy:
 class Spectrum:
     """phi at one variance q on one quadrature rule.
 
-    The only place in this module that evaluates phi or phi' on the
-    rule's nodes. Everything is computed on first use, with at most one
-    pass of phi and one of phi': ``phi_sq`` = E[phi(sqrt(q) z)^2];
+    Its pass of phi is ``_phi_pass``, the one that trajectories make too;
+    it is the only place in this module that evaluates phi' on the rule's
+    nodes. Everything is computed on first use, with at most one pass of
+    phi and one of phi': ``phi_sq`` = E[phi(sqrt(q) z)^2];
     ``a`` and ``b``, the Hermite coefficients of phi and phi';
     ``d_phi_sq`` = E[phi'^2]; ``phi_sq_rate`` = dE[phi^2]/dq;
     ``a_sq_series`` and ``b_sq_series``, the evaluators (``_series``) of
@@ -201,21 +217,13 @@ class Spectrum:
             self.b[0] = slope
 
     @_lazy
-    def _phi(self) -> np.ndarray:
-        return node_values(lambda z: self.act.phi(self._root_q * z), self.quad)
+    def _phi(self) -> tuple[np.ndarray, float]:
+        return _phi_pass(self.act, self.q, self.quad)
 
     @_lazy
     def phi_sq(self) -> float:
-        """E[phi^2]. An unbounded phi's overflows at q near the largest
-        double, which raises NumericError; the check costs a bounded phi
-        nothing."""
-        if self.act.bounded:
-            return float(self.quad.weights @ self._phi ** 2)
-        with np.errstate(over="ignore"):
-            second = float(self.quad.weights @ self._phi ** 2)
-        if second == math.inf:
-            raise NumericError(f"E[phi^2] overflows at q={self.q}")
-        return second
+        """E[phi^2]; see ``_checked_phi_sq``."""
+        return _checked_phi_sq(self.act, self.q, self._phi[1])
 
     @_lazy
     def _d_phi(self) -> np.ndarray:
@@ -223,7 +231,7 @@ class Spectrum:
 
     @_lazy
     def a(self) -> np.ndarray:
-        return hermite_matrix(self.quad.order) @ self._phi
+        return hermite_matrix(self.quad.order) @ self._phi[0]
 
     @_lazy
     def b(self) -> np.ndarray:
@@ -244,33 +252,50 @@ class Spectrum:
     @_lazy
     def phi_sq_rate(self) -> float:
         """dE[phi^2]/dq = E[z phi phi'] / sqrt(q) (Stein)."""
-        stein = self.quad.nodes * self._phi * self._d_phi
+        stein = self.quad.nodes * self._phi[0] * self._d_phi
         return float(self.quad.weights @ stein) / self._root_q
 
-    def next_variance(self, hp: HyperParams) -> float:
-        """The variance map at q."""
-        return hp.effective_sigma_w_sq * self.phi_sq + hp.sigma_b_sq
+
+def _phi_pass(act: Activation, q: float, quad: QuadratureRule) -> tuple[np.ndarray, float]:
+    """phi(sqrt(q) z) on the nodes of ``quad``, and E[phi^2] on the rule.
+
+    The one evaluation of phi in this module, for records and trajectories
+    alike. The weights are positive, so E[phi^2] is finite only if every
+    node value is; the per-node check of ``finite_at_nodes``, which names
+    the first non-finite node, runs only when it is not. An unbounded phi's
+    E[phi^2] may still overflow from finite node values: its readers take
+    it through ``_checked_phi_sq``.
+    """
+    values = np.asarray(act.phi(math.sqrt(q) * quad.nodes), dtype=float)
+    if act.bounded:
+        second = float(quad.weights @ values ** 2)
+    else:
+        with np.errstate(over="ignore"):
+            second = float(quad.weights @ values ** 2)
+    if not math.isfinite(second):
+        finite_at_nodes(values, quad)
+    return values, second
+
+
+def _checked_phi_sq(act: Activation, q: float, second: float) -> float:
+    """E[phi^2] from ``_phi_pass``. An unbounded phi's overflows at q near
+    the largest double, which raises NumericError; the check costs a
+    bounded phi nothing."""
+    if second == math.inf and not act.bounded:
+        raise NumericError(f"E[phi^2] overflows at q={q}")
+    return second
 
 
 def _series(coefficients: np.ndarray):
     """The function c -> sum_n coefficients[n] c^n, for |c| <= 1.
 
     Horner's rule in c^2 on Python floats, over the even and the odd
-    terms apart; each part drops its trailing terms whose absolute sum is
-    below 2^-53 sum_n |coefficients[n]|, so the trim moves the sum by at
-    most 2^-52 sum_n |coefficients[n]| (to rounding) on [-1, 1]. Build
-    once per coefficient vector: the build costs several evaluations.
+    terms apart, each trimmed by ``_trimmed_parts``, so the trim moves the
+    sum by at most 2^-52 sum_n |coefficients[n]| (to rounding) on [-1, 1].
+    Build once per coefficient vector: the build costs several
+    evaluations.
     """
-    values = coefficients.tolist()
-    even, odd = values[0::2], values[1::2]
-    even.reverse()
-    odd.reverse()
-    even_size, odd_size = sum(map(abs, even)), sum(map(abs, odd))
-    floor = _UNIT_ROUNDOFF * (even_size + odd_size)
-    # A part below the floor as a whole (the even part of an odd phi's
-    # a_n^2) goes without a walk.
-    even = _trimmed(even, floor) if even_size >= floor else ()
-    odd = _trimmed(odd, floor) if odd_size >= floor else ()
+    even, odd = _trimmed_parts(coefficients.tolist())
 
     def series(c: float) -> float:
         square, even_sum, odd_sum = c * c, 0.0, 0.0
@@ -283,21 +308,49 @@ def _series(coefficients: np.ndarray):
     return series
 
 
-def _trimmed(terms: list[float], floor: float) -> tuple[float, ...]:
-    """``terms``, highest power first, less the leading run whose absolute
-    sum is below ``floor``."""
-    tail = 0.0
-    for start, term in enumerate(terms):
-        tail += abs(term)
-        if tail >= floor:
-            return tuple(terms[start:])
-    return ()
+def _trimmed_parts(values: list[float]) -> tuple[list[float], list[float]]:
+    """The even and the odd terms of ``values``, each highest power first,
+    less its leading run whose running absolute sum stays below the floor
+    2^-53 sum_n |values[n]|.
+
+    The running sums add in order (``accumulate``; ``sum`` is compensated
+    from Python 3.12 on), as ``np.cumsum`` does in ``_trimmed_rows``, so
+    both keep the same terms on every Python. A part below the floor as a
+    whole, such as the even part of an odd phi's a_n^2, keeps no term.
+    """
+    even, odd = values[0::2], values[1::2]
+    even.reverse()
+    odd.reverse()
+    even_tails = list(accumulate(map(abs, even), initial=0.0))
+    odd_tails = list(accumulate(map(abs, odd), initial=0.0))
+    floor = _UNIT_ROUNDOFF * (even_tails[-1] + odd_tails[-1])
+    # tails[k] sums the first k terms: keep from the one that reaches the floor
+    return (even[bisect_left(even_tails, floor, 1) - 1:],
+            odd[bisect_left(odd_tails, floor, 1) - 1:])
 
 
-#: Room for one q* solve's records, the root among them, and for a
-#: trajectory's moving variances. Over cycles 0-2 of the benchmark's
-#: workloads at seed 1 it hits 1680 and misses 7380 times on sweep, 159
-#: and 3957 on trajectory, 42 and 80 on montecarlo.
+def _trimmed_rows(products: np.ndarray) -> tuple[list[list[float]], list[list[float]]]:
+    """``_trimmed_parts`` of every row of ``products`` (at least 2 columns)
+    at once: the even parts of the rows, and their odd parts."""
+    even, odd = products[:, 0::2][:, ::-1], products[:, 1::2][:, ::-1]
+    even_tails = np.cumsum(np.abs(even), axis=1)
+    odd_tails = np.cumsum(np.abs(odd), axis=1)
+    floor = (_UNIT_ROUNDOFF * (even_tails[:, -1] + odd_tails[:, -1]))[:, None]
+    return _kept(even, even_tails >= floor), _kept(odd, odd_tails >= floor)
+
+
+def _kept(part: np.ndarray, keep: np.ndarray) -> list[list[float]]:
+    """Each row of ``part`` where ``keep`` holds, a run to the row's end
+    (the tails rise along a row), as Python floats."""
+    terms = part[keep].tolist()
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return [terms[start:end] for start, end in zip([0] + ends, ends)]
+
+
+#: Room for one q* solve's records, the root among them; trajectories
+#: make none. Over cycles 0-2 of the benchmark's workloads at seed 1, each
+#: workload from an empty cache, it hits 1696 and misses 7388 times on
+#: sweep, 180 and 403 on trajectory, 39 and 60 on montecarlo.
 _cached_spectrum = lru_cache(maxsize=16)(Spectrum)
 
 
@@ -311,7 +364,7 @@ def variance_map(q: float, hp: HyperParams, act: Activation,
     """One step of the single-input variance recursion."""
     if q < 0:
         raise DomainError(f"variance must be nonnegative, got q={q}")
-    return _spectrum(act, q, quad).next_variance(hp)
+    return hp.effective_sigma_w_sq * _spectrum(act, q, quad).phi_sq + hp.sigma_b_sq
 
 
 def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
@@ -319,27 +372,21 @@ def covariance_map(c: float, q_a: float, q_b: float, hp: HyperParams,
     """One step of the pair-covariance recursion (unnormalized).
 
     The Mehler series sigma_w^2 sum_n a_n(q_a) a_n(q_b) c^n + sigma_b^2 up
-    to the quadrature order, summed by the series ``_pair_series`` picks
-    (at q_a = q_b the record's own series of a_n^2); at c = 1, q_a = q_b it
-    reproduces the variance map's second moment to rounding (discrete
-    Parseval).
+    to the quadrature order. Equal variances share one record, and its
+    own series of a_n^2 is built once for every reader; other pairs get a
+    series of their own. At c = 1, q_a = q_b it reproduces the variance
+    map's second moment to rounding (discrete Parseval).
     """
     if q_a < 0 or q_b < 0:
         raise DomainError(f"variances must be nonnegative, got q_a={q_a}, q_b={q_b}")
     if abs(c) > 1:
         raise DomainError(f"correlation must lie in [-1, 1], got {c}")
     spec_a = _spectrum(act, q_a, quad)
-    series = _pair_series(spec_a, spec_a if q_b == q_a else _spectrum(act, q_b, quad))
+    if q_b == q_a:
+        series = spec_a.a_sq_series
+    else:
+        series = _series(spec_a.a * _spectrum(act, q_b, quad).a)
     return hp.sigma_w_sq * series(c) + hp.sigma_b_sq
-
-
-def _pair_series(spec_a: Spectrum, spec_b: Spectrum):
-    """The series c -> sum_n a_n(q_a) a_n(q_b) c^n of the records at q_a and q_b.
-
-    Equal variances share one record, whose own series of a_n^2 is built
-    once for every reader; other pairs get a series of their own.
-    """
-    return spec_a.a_sq_series if spec_a is spec_b else _series(spec_a.a * spec_b.a)
 
 
 def _root_product(q_a: float, q_b: float) -> float:
@@ -696,15 +743,22 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
 
     Tracks q_aa, q_bb, and q_ab layer by layer; the reported correlation
     is q_ab normalized by the same-layer variances (no fixed-point
-    approximation), clamped to [-1, 1]. One loop runs over the layers.
-    While a variance moves, a layer reads the shared record of each
-    variance, the pair's series (``_pair_series``: equal variances share
-    a record and its series of a_n^2) and the norm sqrt(q_a q_b) of the
-    next variances (``_root_product``, which does not overflow at huge
-    sigma_w^2). Once both next variances equal the current ones bit for
-    bit they stay put, and every later layer reuses that series and norm:
-    one series evaluation and a clamp. A layer whose next variances have
-    a scaled product of 0 raises DegenerateVarianceError.
+    approximation), clamped to [-1, 1]. The numbers are those of the
+    public maps, bit for bit, from two passes over each block of at most
+    ``_TRAJECTORY_BLOCK`` layers whose variances move. Pass 1 runs the
+    variance recursion alone: one ``_phi_pass`` per new variance (equal
+    variances share one) and the norm sqrt(q_a q_b) of the next variances
+    (``_root_product``, which does not overflow at huge sigma_w^2). Pass 2
+    forms every layer's Hermite coefficients a_n(q_a), a_n(q_b) in one
+    stacked product with the Hermite matrix, row by row the same numbers
+    as a record's; the products a_n(q_a) a_n(q_b), trimmed by
+    ``_trimmed_rows``, then carry the correlation through the block by
+    Horner's rule. Once both next variances equal the current ones bit
+    for bit they stay put, and the last layer's terms and norm serve
+    every later layer: one series evaluation and a clamp. No record is
+    fetched and no ``_series`` built, so the cache keeps the q* solver's
+    records. A layer whose next variances have a scaled product of 0
+    raises DegenerateVarianceError, before the correlation reaches it.
     """
     if layers < 1:
         raise DomainError(f"layers must be >= 1, got {layers}")
@@ -714,23 +768,51 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
         if not 0 <= q0 < math.inf:
             raise DomainError(f"{name} must be finite and >= 0, got {q0}")
 
+    quad = rule() if quad is None else quad
+    hermite = hermite_matrix(quad.order)[None]
+    gain, weight, bias = hp.effective_sigma_w_sq, hp.sigma_w_sq, hp.sigma_b_sq
     q_a, q_b, c = float(q0_a), float(q0_b), float(c0)
-    q_aa, q_bb, c_ab = [q_a], [q_b], [c]
-    weight, bias = hp.sigma_w_sq, hp.sigma_b_sq
-    moving = True
-    for _ in range(layers):
-        if moving:
-            spec_a = _spectrum(act, q_a, quad)
-            spec_b = spec_a if q_b == q_a else _spectrum(act, q_b, quad)
-            q_a_next, q_b_next = spec_a.next_variance(hp), spec_b.next_variance(hp)
-            series = _pair_series(spec_a, spec_b)
-            norm = _root_product(q_a_next, q_b_next)
+    q_aa, q_bb = np.empty(layers + 1), np.empty(layers + 1)
+    q_aa[0], q_bb[0], c_ab = q_a, q_b, [c]
+    # q -> (node values of phi, next variance), kept across blocks for
+    # the current variances only
+    passes = {}
+    moving, done = True, 0
+    while done < layers:
+        # Pass 1: the variances and norms of up to one block of layers.
+        passes = {q: passes[q] for q in (q_a, q_b) if q in passes}
+        start, phis_a, phis_b, norms = done, [], [], []
+        while moving and done < layers and done - start < _TRAJECTORY_BLOCK:
+            for q in (q_a, q_b):
+                if q not in passes:
+                    values, second = _phi_pass(act, q, quad)
+                    passes[q] = values, gain * _checked_phi_sq(act, q, second) + bias
+            (phi_a, q_a_next), (phi_b, q_b_next) = passes[q_a], passes[q_b]
+            phis_a.append(phi_a)
+            phis_b.append(phi_b)
+            norms.append(_root_product(q_a_next, q_b_next))
             moving = q_a_next != q_a or q_b_next != q_b
             q_a, q_b = q_a_next, q_b_next
-        c = (weight * series(c) + bias) / norm
-        c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
-        q_aa.append(q_a)
-        q_bb.append(q_b)
-        c_ab.append(c)
-    return Trajectory(layers=layers, q_aa=np.array(q_aa), q_bb=np.array(q_bb),
-                      c_ab=np.array(c_ab))
+            q_aa[done + 1], q_bb[done + 1] = q_a, q_b
+            done += 1
+        # Pass 2: every layer's coefficients and trimmed series at once.
+        coefficients_a = np.matmul(hermite, np.array(phis_a)[..., None])[..., 0]
+        coefficients_b = (coefficients_a if np.array_equal(q_aa[start:done], q_bb[start:done])
+                          else np.matmul(hermite, np.array(phis_b)[..., None])[..., 0])
+        evens, odds = _trimmed_rows(coefficients_a * coefficients_b)
+        terms = zip(evens, odds, norms)
+        if not moving:
+            # the variances hold: the last row serves every later layer
+            terms = chain(terms, repeat((evens[-1], odds[-1], norms[-1]), layers - done))
+            q_aa[done + 1:], q_bb[done + 1:] = q_a, q_b
+            done = layers
+        for even, odd, norm in terms:
+            square, even_sum, odd_sum = c * c, 0.0, 0.0
+            for p in even:
+                even_sum = even_sum * square + p
+            for p in odd:
+                odd_sum = odd_sum * square + p
+            c = (weight * (even_sum + c * odd_sum) + bias) / norm
+            c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
+            c_ab.append(c)
+    return Trajectory(layers=layers, q_aa=q_aa, q_bb=q_bb, c_ab=np.array(c_ab))

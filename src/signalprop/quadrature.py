@@ -119,7 +119,12 @@ def hermite_matrix(order: int) -> np.ndarray:
 
 def node_values(f, quad: QuadratureRule) -> np.ndarray:
     """``f`` at the nodes of ``quad``, which must all be finite."""
-    values = np.asarray(f(quad.nodes), dtype=float)
+    return finite_at_nodes(np.asarray(f(quad.nodes), dtype=float), quad)
+
+
+def finite_at_nodes(values: np.ndarray, quad: QuadratureRule) -> np.ndarray:
+    """``values``, one per node of ``quad``; the first non-finite one
+    raises NumericError naming its node."""
     if not np.isfinite(values).all():
         bad = quad.nodes[~np.isfinite(values)][0]
         raise NumericError(f"integrand is non-finite at node z={bad!r}")

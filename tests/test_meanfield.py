@@ -509,6 +509,60 @@ def test_series_against_an_exact_sum(case):
         assert series(-c) == series(c)
 
 
+@st.composite
+def product_batches(draw):
+    """Stacked rows of Mehler-series coefficients, as a trajectory trims
+    them: zero rows, products of tanh's Hermite coefficients (an odd phi,
+    whose even part sits below the floor) and of a mixed phi's on the
+    2-, 61- and 370-node rules, and random rows of magnitude 1e-300 to 1
+    with tails below, at and above the floor."""
+    order = draw(st.sampled_from([2, 3, 61, 370]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["zero", "tanh", "mixed", "random"]))
+        if kind == "zero":
+            rows.append(np.zeros(order))
+        elif kind in ("tanh", "mixed") and order != 3:
+            act = TANH if kind == "tanh" else bare(lambda x: np.cos(x) + 0.3 * x ** 3)
+            q_a, q_b = (draw(st.floats(1e-3, 10.0)) for _ in range(2))
+            rows.append(mf.Spectrum(act, q_a, rule(order)).a
+                        * mf.Spectrum(act, q_b, rule(order)).a)
+        else:
+            scale = 10.0 ** draw(st.floats(-300.0, 0.0))
+            ratio = draw(st.floats(0.0, 1.0))
+            tail_start = draw(st.integers(0, order))
+            tail_scale = draw(st.sampled_from([1.0, 2.0 ** -52, 2.0 ** -53, 2.0 ** -60]))
+            values = draw(st.lists(st.floats(-1.0, 1.0), min_size=order, max_size=order))
+            rows.append(np.array([
+                scale * value * ratio ** n * (tail_scale if n >= tail_start else 1.0)
+                for n, value in enumerate(values)
+            ]))
+    return np.array(rows)
+
+
+#: Even terms, highest power first, 2^-53, 1, and eleven 2^-53: summed in
+#: order they total 1 and the floor is 2^-53, which the first term reaches.
+#: The exact sum (Python 3.12's ``sum``) or a pairwise one is larger, and
+#: its floor would drop that term.
+ROUNDING_EDGE = np.array([2.0 ** -53 if n % 2 == 0 else 0.0 for n in range(25)])
+ROUNDING_EDGE[22] = 1.0
+
+
+@given(product_batches())
+@settings(max_examples=200, deadline=None)
+def test_batch_trim_keeps_the_terms_of_series(products):
+    # a trajectory's trim, all rows at once with np.cumsum, and the trim of
+    # _series, one row at a time with accumulate, keep the same terms
+    evens, odds = mf._trimmed_rows(products)
+    assert (evens, odds) == tuple(map(list, zip(*(
+        mf._trimmed_parts(row) for row in products.tolist()))))
+
+
+def test_trim_adds_in_order():
+    evens, _ = mf._trimmed_rows(ROUNDING_EDGE[None])
+    assert len(evens[0]) == len(mf._trimmed_parts(ROUNDING_EDGE.tolist())[0]) == 13
+
+
 def bare(phi):
     """An activation with only phi, for the Hermite coefficients."""
     return Activation(name="bare", phi=phi, d_phi=None, dd_phi=None, bounded=False)
@@ -649,13 +703,6 @@ HARD_TANH_Q_FIXED = float(mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), HARD_
                                                 layers=100).q_aa[-1])
 
 
-@pytest.fixture
-def fresh_records():
-    """An empty record cache, so that a count does not depend on the
-    records that earlier tests left behind."""
-    mf._cached_spectrum.cache_clear()
-
-
 class TestTrajectory:
     def test_converges_to_fixed_point(self):
         hp = mf.HyperParams(1.7, 0.05)
@@ -685,8 +732,8 @@ class TestTrajectory:
             c_ab.append(min(1.0, max(-1.0, q_ab / math.sqrt(q_aa[-1] * q_bb[-1]))))
         return q_aa, q_bb, c_ab
 
-    @pytest.mark.parametrize("act,sw2,q0_a,q0_b,rho,c0,order,layers", [
-        pytest.param(act, sw2, 0.8, q0_b, rho, c0, order, 300,
+    @pytest.mark.parametrize("act,sw2,sb2,q0_a,q0_b,rho,c0,order,layers,held", [
+        pytest.param(act, sw2, 0.05, 0.8, q0_b, rho, c0, order, 300, True,
                      id=f"{q0_b}-{rho}-{c0}-{order}-act{index}-{sw2}")
         for q0_b, rho, c0, order in [
             (0.3, 1.0, 0.6, 61),     # q0_a != q0_b
@@ -700,46 +747,43 @@ class TestTrajectory:
     ] + [
         # 0.991 of the critical sigma_w^2 (1.76095): the variances settle by
         # layer 55 and c alone moves, every layer, for the other 4945 or so
-        pytest.param(TANH, 1.745, 0.8, 0.8, 1.0, 0.6, 61, 5000, id="tanh-near-critical"),
+        pytest.param(TANH, 1.745, 0.05, 0.8, 0.8, 1.0, 0.6, 61, 5000, True,
+                     id="tanh-near-critical"),
         # q0_a is the map's own fixed point: input a's record is held from
         # the first layer while input b's variance moves for 38 layers
-        pytest.param(HARD_TANH, 1.7, HARD_TANH_Q_FIXED, 0.01, 1.0, -0.4, 61, 300,
+        pytest.param(HARD_TANH, 1.7, 0.05, HARD_TANH_Q_FIXED, 0.01, 1.0, -0.4, 61, 300, True,
                      id="hard_tanh-held"),
+        # trajectories that end while both variances still move
+        pytest.param(TANH, 1.7, 0.05, 0.8, 0.3, 1.0, 0.6, 61, 1, False, id="tanh-one-layer"),
+        pytest.param(TANH, 1.7, 0.05, 0.8, 0.3, 1.0, 0.6, 61, 7, False, id="tanh-seven-layers"),
+        # ordered with sigma_b^2 = 0: q decays toward 0 by about 1% a layer
+        # and moves through three blocks of layers
+        pytest.param(TANH, 0.99, 0.0, 0.8, 0.8, 1.0, 0.6, 61, 2 * mf._TRAJECTORY_BLOCK + 100,
+                     False, id="tanh-zero-bias-ordered"),
+        pytest.param(TANH, 1.7, 0.05, 0.8, 0.3, 1.0, 0.6, 2, 300, True, id="tanh-rule2"),
+        pytest.param(LINEAR, 0.7, 0.05, 0.8, 0.3, 0.95, 0.6, 61, 300, True,
+                     id="linear-dropout-unequal"),
     ])
-    def test_bit_identical_to_the_public_maps(self, act, sw2, q0_a, q0_b, rho, c0,
-                                              order, layers):
-        hp, quad = mf.HyperParams(sw2, 0.05, rho), rule(order)
+    def test_bit_identical_to_the_public_maps(self, act, sw2, sb2, q0_a, q0_b, rho, c0,
+                                              order, layers, held):
+        hp, quad = mf.HyperParams(sw2, sb2, rho), rule(order)
         traj = mf.iterate_trajectory(hp, act, q0_a=q0_a, q0_b=q0_b, c0=c0,
                                      layers=layers, quad=quad)
         q_aa, q_bb, c_ab = self.reference(hp, act, q0_a, q0_b, c0, layers, quad)
         np.testing.assert_array_equal(traj.q_aa, q_aa)
         np.testing.assert_array_equal(traj.q_bb, q_bb)
         np.testing.assert_array_equal(traj.c_ab, c_ab)
-        # the variances stop moving, so the held records are exercised
-        assert traj.q_aa[-1] == traj.q_aa[-2] and traj.q_bb[-1] == traj.q_bb[-2]
+        # whether the variances stop moving, so that the held terms serve
+        # the last layers, or still move at the end
+        assert (traj.q_aa[-1] == traj.q_aa[-2] and traj.q_bb[-1] == traj.q_bb[-2]) == held
 
     @pytest.mark.parametrize("q0_b", [0.8, 0.3])
-    @pytest.mark.usefixtures("fresh_records")
-    def test_records_fetched_only_when_a_variance_moves(self, monkeypatch, q0_b):
-        fetched = []
-        fetch = mf._spectrum
-
-        def counted_fetch(act, q, quad):
-            fetched.append(q)
-            return fetch(act, q, quad)
-
-        monkeypatch.setattr(mf, "_spectrum", counted_fetch)
-        traj = mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), TANH, q0_b=q0_b,
-                                     layers=2000)
-        assert len(fetched) <= len(set(traj.q_aa) | set(traj.q_bb)) + 1
-
-    @pytest.mark.parametrize("q0_b", [0.8, 0.3])
-    @pytest.mark.parametrize("sw2,at_q_star", [
-        (1.7, 1),   # ordered, c* = 1: b_n^2 for the slopes only
-        (2.5, 2),   # chaotic: a_n^2 for the c* solve as well
-    ])
-    @pytest.mark.usefixtures("fresh_records")
-    def test_each_series_is_built_once(self, monkeypatch, sw2, at_q_star, q0_b):
+    @pytest.mark.parametrize("sw2", [1.7, 2.5])
+    def test_leaves_the_record_cache_alone(self, monkeypatch, sw2, q0_b):
+        # ordered and chaotic: the solved point's records and series are
+        # made first, and the trajectory neither reads nor evicts them
+        hp = mf.HyperParams(sw2, 0.05)
+        mf.depth_scales(hp, TANH, fp=mf.fixed_point(hp, TANH))
         builds = Counter()
         build = mf._series
 
@@ -748,12 +792,25 @@ class TestTrajectory:
             return build(coefficients)
 
         monkeypatch.setattr(mf, "_series", counted_build)
-        hp = mf.HyperParams(sw2, 0.05)
-        mf.depth_scales(hp, TANH, fp=mf.fixed_point(hp, TANH))
-        assert builds["series"] == at_q_star
-        traj = mf.iterate_trajectory(hp, TANH, q0_b=q0_b, layers=2000)
-        # one series per pair of variances, none per layer
-        assert builds["series"] <= at_q_star + len(set(zip(traj.q_aa, traj.q_bb)))
+        records = mf._cached_spectrum.cache_info()
+        mf.iterate_trajectory(hp, TANH, q0_b=q0_b, layers=2000)
+        assert mf._cached_spectrum.cache_info() == records
+        assert builds["series"] == 0
+
+    @pytest.mark.parametrize("act,q0", [
+        # phi non-finite at the outer nodes, unbounded and bounded
+        (bare(lambda x: np.where(x > 2.0, np.inf, x)), 0.8),
+        (dataclasses.replace(TANH, phi=lambda x: np.where(x > 2.0, np.nan, np.tanh(x))), 0.8),
+        # finite at every node, but E[phi^2] overflows
+        (LINEAR, 1e307),
+    ])
+    def test_errors_of_phi_are_those_of_the_variance_map(self, act, q0):
+        hp = mf.HyperParams(1.7, 0.05)
+        with pytest.raises(NumericError) as from_map:
+            mf.variance_map(q0, hp, act)
+        with pytest.raises(NumericError) as from_trajectory:
+            mf.iterate_trajectory(hp, act, q0_a=q0, q0_b=q0, layers=3)
+        assert str(from_trajectory.value) == str(from_map.value)
 
     def test_huge_variances_keep_their_correlation(self):
         # With sigma_b^2 << sigma_w^2 the layer-1 correlation does not
