@@ -703,6 +703,13 @@ HARD_TANH_Q_FIXED = float(mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), HARD_
                                                 layers=100).q_aa[-1])
 
 
+@pytest.fixture
+def fresh_records():
+    """An empty record cache, so that a count does not depend on the
+    records that earlier tests left behind."""
+    mf._cached_spectrum.cache_clear()
+
+
 class TestTrajectory:
     def test_converges_to_fixed_point(self):
         hp = mf.HyperParams(1.7, 0.05)
@@ -778,12 +785,30 @@ class TestTrajectory:
         assert (traj.q_aa[-1] == traj.q_aa[-2] and traj.q_bb[-1] == traj.q_bb[-2]) == held
 
     @pytest.mark.parametrize("q0_b", [0.8, 0.3])
-    @pytest.mark.parametrize("sw2", [1.7, 2.5])
-    def test_leaves_the_record_cache_alone(self, monkeypatch, sw2, q0_b):
-        # ordered and chaotic: the solved point's records and series are
-        # made first, and the trajectory neither reads nor evicts them
-        hp = mf.HyperParams(sw2, 0.05)
-        mf.depth_scales(hp, TANH, fp=mf.fixed_point(hp, TANH))
+    @pytest.mark.usefixtures("fresh_records")
+    def test_records_fetched_only_when_a_variance_moves(self, monkeypatch, q0_b):
+        # a trajectory forms its own terms: it fetches no record, so it
+        # neither reads nor evicts the solver's records
+        fetched = []
+        fetch = mf._spectrum
+
+        def counted_fetch(act, q, quad):
+            fetched.append(q)
+            return fetch(act, q, quad)
+
+        monkeypatch.setattr(mf, "_spectrum", counted_fetch)
+        records = mf._cached_spectrum.cache_info()
+        mf.iterate_trajectory(mf.HyperParams(1.7, 0.05), TANH, q0_b=q0_b, layers=2000)
+        assert fetched == []
+        assert mf._cached_spectrum.cache_info() == records
+
+    @pytest.mark.parametrize("q0_b", [0.8, 0.3])
+    @pytest.mark.parametrize("sw2,at_q_star", [
+        (1.7, 1),   # ordered, c* = 1: b_n^2 for the slopes only
+        (2.5, 2),   # chaotic: a_n^2 for the c* solve as well
+    ])
+    @pytest.mark.usefixtures("fresh_records")
+    def test_each_series_is_built_once(self, monkeypatch, sw2, at_q_star, q0_b):
         builds = Counter()
         build = mf._series
 
@@ -792,10 +817,15 @@ class TestTrajectory:
             return build(coefficients)
 
         monkeypatch.setattr(mf, "_series", counted_build)
+        hp = mf.HyperParams(sw2, 0.05)
+        mf.depth_scales(hp, TANH, fp=mf.fixed_point(hp, TANH))
+        assert builds["series"] == at_q_star
+        # the solved point's records and series are made first, and the
+        # trajectory neither evicts them nor builds a series of its own
         records = mf._cached_spectrum.cache_info()
         mf.iterate_trajectory(hp, TANH, q0_b=q0_b, layers=2000)
         assert mf._cached_spectrum.cache_info() == records
-        assert builds["series"] == 0
+        assert builds["series"] == at_q_star
 
     @pytest.mark.parametrize("act,q0", [
         # phi non-finite at the outer nodes, unbounded and bounded
