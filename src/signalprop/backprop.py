@@ -8,20 +8,9 @@ linearization factor of the forward correlation map. Gradients therefore
 vanish in the ordered phase, explode in the chaotic phase, and are
 marginal on the critical line.
 """
-from __future__ import annotations
+from .meanfield import correlation_slope
 
-from .activations import Activation
-from .meanfield import HyperParams, correlation_slope
-from .quadrature import QuadratureRule
-
-
-def grad_covariance_factor(hp: HyperParams, act: Activation, q_star: float,
-                           c_star: float,
-                           quad: QuadratureRule | None = None) -> float:
-    """Per-layer factor of the error-covariance recurrence.
-
-    Identical to the forward correlation-map slope at (q*, c*): the
-    covariance between gradients decays over exactly the forward
-    correlation depth scale.
-    """
-    return correlation_slope(hp, act, q_star, c_star, quad)
+#: Per-layer factor of the error-covariance recurrence at (q*, c*): the
+#: forward correlation-map slope itself, so the covariance between
+#: gradients decays over exactly the forward correlation depth scale.
+grad_covariance_factor = correlation_slope

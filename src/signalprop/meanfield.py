@@ -21,15 +21,16 @@ a second solve at the same point makes no pass of phi. phi itself is
 evaluated in one place, ``_phi_pass``, which gives the node values and
 E[phi^2] to records and trajectories alike.
 
-Every Mehler series of a record is summed by one evaluator, ``_series``:
-Horner's rule in c^2 on Python floats, with the even and the odd terms
-kept apart and each trimmed of the trailing terms whose running absolute
-sum, added in order from the highest power down, stays below one rounding
-unit (2^-53) of sum_n |p_n|, so for |c| <= 1 the trim moves a sum by less
-than 2^-52 sum_n |p_n|. A record builds its series of a_n^2 and of b_n^2
-once, on first read, for the readers that come back to it:
-``covariance_map`` at q_a = q_b, ``solve_c_star`` and
-``correlation_slope``. One helper, ``_root_product``, forms the norm
+Every Mehler series, a record's or a trajectory's, is summed by one
+evaluator, ``_sum``: Horner's rule in c^2 on Python floats, with the even
+and the odd terms kept apart and each trimmed of the trailing terms whose
+running absolute sum, added in order from the highest power down, stays
+below one rounding unit (2^-53) of sum_n |p_n|, so for |c| <= 1 the trim
+moves a sum by less than 2^-52 sum_n |p_n|. ``_series`` trims one
+coefficient vector and returns ``_sum`` over its terms; a record builds
+its series of a_n^2 and of b_n^2 once, on first read, for the readers
+that come back to it: ``covariance_map`` at q_a = q_b, ``solve_c_star``
+and ``correlation_slope``. One helper, ``_root_product``, forms the norm
 sqrt(q_a q_b) that every correlation is divided by, without overflow.
 
 A trajectory makes no record and builds no ``_series``; it runs in two
@@ -37,10 +38,11 @@ passes over blocks of at most ``_TRAJECTORY_BLOCK`` layers. The first
 iterates the variances alone, one ``_phi_pass`` per new variance, and
 forms each layer's norm. The second takes every moving layer's Hermite
 coefficients from one stacked product with the Hermite matrix, trims all
-their series at once by ``_series``' rule (``_trimmed_rows``), and runs
-the correlation through them by Horner's rule. Once neither variance
-moves, the last layer's terms and norm serve every later layer, so a
-layer is one series evaluation in c.
+their series at once by the same rule (``_trimmed_rows``), and runs the
+correlation through them with ``_sum``. Once neither variance moves, the
+last layer's terms and norm serve every later layer, so a layer is one
+series evaluation in c; once c maps to itself too, the trajectory stops
+and the layers left repeat it.
 
 With dropout keep-probability rho < 1 the variance map carries the
 effective weight variance sigma_w^2 / rho, while the covariance map keeps
@@ -63,8 +65,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from functools import lru_cache, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,7 +79,7 @@ from .errors import (
     NoFixedPointError,
     NumericError,
 )
-from .quadrature import QuadratureRule, finite_at_nodes, hermite_matrix, node_values, rule
+from .quadrature import QuadratureRule, finite_at_nodes, hermite_matrix, rule
 
 #: |factor - 1| below this counts as criticality (depth scale +inf).
 CRITICALITY_TOL = 1e-12
@@ -227,7 +229,8 @@ class Spectrum:
 
     @_lazy
     def _d_phi(self) -> np.ndarray:
-        return node_values(lambda z: self.act.d_phi(self._root_q * z), self.quad)
+        values = np.asarray(self.act.d_phi(self._root_q * self.quad.nodes), dtype=float)
+        return finite_at_nodes(values, self.quad)
 
     @_lazy
     def a(self) -> np.ndarray:
@@ -287,25 +290,25 @@ def _checked_phi_sq(act: Activation, q: float, second: float) -> float:
 
 
 def _series(coefficients: np.ndarray):
-    """The function c -> sum_n coefficients[n] c^n, for |c| <= 1.
-
-    Horner's rule in c^2 on Python floats, over the even and the odd
-    terms apart, each trimmed by ``_trimmed_parts``, so the trim moves the
-    sum by at most 2^-52 sum_n |coefficients[n]| (to rounding) on [-1, 1].
-    Build once per coefficient vector: the build costs several
-    evaluations.
+    """The function c -> sum_n coefficients[n] c^n, for |c| <= 1: ``_sum``
+    over the even and the odd terms, each trimmed by ``_trimmed_parts``,
+    so the trim moves the sum by at most 2^-52 sum_n |coefficients[n]| (to
+    rounding) on [-1, 1]. Build once per coefficient vector: the build
+    costs several evaluations.
     """
-    even, odd = _trimmed_parts(coefficients.tolist())
+    return partial(_sum, *_trimmed_parts(coefficients.tolist()))
 
-    def series(c: float) -> float:
-        square, even_sum, odd_sum = c * c, 0.0, 0.0
-        for p in even:
-            even_sum = even_sum * square + p
-        for p in odd:
-            odd_sum = odd_sum * square + p
-        return even_sum + c * odd_sum
 
-    return series
+def _sum(even: list[float], odd: list[float], c: float) -> float:
+    """The series with these trimmed even and odd terms, each highest power
+    first, at c: Horner's rule in c^2 on Python floats, the one summation
+    of a Mehler series in this module."""
+    square, even_sum, odd_sum = c * c, 0.0, 0.0
+    for p in even:
+        even_sum = even_sum * square + p
+    for p in odd:
+        odd_sum = odd_sum * square + p
+    return even_sum + c * odd_sum
 
 
 def _trimmed_parts(values: list[float]) -> tuple[list[float], list[float]]:
@@ -331,20 +334,27 @@ def _trimmed_parts(values: list[float]) -> tuple[list[float], list[float]]:
 
 def _trimmed_rows(products: np.ndarray) -> tuple[list[list[float]], list[list[float]]]:
     """``_trimmed_parts`` of every row of ``products`` (at least 2 columns)
-    at once: the even parts of the rows, and their odd parts."""
-    even, odd = products[:, 0::2][:, ::-1], products[:, 1::2][:, ::-1]
-    even_tails = np.cumsum(np.abs(even), axis=1)
-    odd_tails = np.cumsum(np.abs(odd), axis=1)
-    floor = (_UNIT_ROUNDOFF * (even_tails[:, -1] + odd_tails[:, -1]))[:, None]
-    return _kept(even, even_tails >= floor), _kept(odd, odd_tails >= floor)
+    at once: the even parts of the rows, and their odd parts.
 
-
-def _kept(part: np.ndarray, keep: np.ndarray) -> list[list[float]]:
-    """Each row of ``part`` where ``keep`` holds, a run to the row's end
-    (the tails rise along a row), as Python floats."""
-    terms = part[keep].tolist()
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    return [terms[start:end] for start, end in zip([0] + ends, ends)]
+    Both parts sit in one array, highest power first, an odd count of
+    columns giving the odd part a leading 0 that leaves its running sums
+    as they are and is never kept. The tails rise along a row, so the kept
+    terms are a run to the row's end, and one argmax gives every run's
+    length; a part whose whole sum stays below the floor keeps no term.
+    Only the kept terms become Python floats.
+    """
+    rows, order = products.shape
+    pad = order % 2
+    parts = np.zeros((2, rows, (order + 1) // 2))
+    parts[0] = products[:, 0::2][:, ::-1]
+    parts[1, :, pad:] = products[:, 1::2][:, ::-1]
+    tails = np.cumsum(np.abs(parts), axis=2)
+    keep = tails >= _UNIT_ROUNDOFF * (tails[0, :, -1:] + tails[1, :, -1:])
+    keep[1, :, :pad] = False
+    lengths = np.where(keep[..., -1], keep.shape[2] - keep.argmax(axis=2), 0)
+    terms, ends = parts[keep].tolist(), np.cumsum(lengths).tolist()
+    kept = [terms[start:end] for start, end in zip([0] + ends, ends)]
+    return kept[:rows], kept[rows:]
 
 
 #: Room for one q* solve's records, the root among them; trajectories
@@ -599,7 +609,9 @@ def correlation_slope(hp: HyperParams, act: Activation, q_star: float,
     coefficients at q*). At c = 1 it is sigma_w^2 E[phi'(sqrt(q*) z)^2] to
     rounding (discrete Parseval), the chi1 integral. Carries the bare
     sigma_w^2 even with dropout. At the degenerate q* = 0 the record's
-    b = phi'(0) e_0 makes the slope sigma_w^2 phi'(0)^2 exactly.
+    b = phi'(0) e_0 makes the slope sigma_w^2 phi'(0)^2 exactly. It is
+    also the per-layer factor of the gradient covariance,
+    ``backprop.grad_covariance_factor``.
     """
     return hp.sigma_w_sq * _spectrum(act, q_star, quad).b_sq_series(c_star)
 
@@ -753,9 +765,10 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
     stacked product with the Hermite matrix, row by row the same numbers
     as a record's; the products a_n(q_a) a_n(q_b), trimmed by
     ``_trimmed_rows``, then carry the correlation through the block by
-    Horner's rule. Once both next variances equal the current ones bit
-    for bit they stay put, and the last layer's terms and norm serve
-    every later layer: one series evaluation and a clamp. No record is
+    ``_sum``. Once both next variances equal the current ones bit for bit
+    they stay put, and the last layer's terms and norm serve every later
+    layer: one series evaluation and a clamp, until c maps to itself bit
+    for bit, when it fills the layers left. No record is
     fetched and no ``_series`` built, so the cache keeps the q* solver's
     records. A layer whose next variances have a scaled product of 0
     raises DegenerateVarianceError, before the correlation reaches it.
@@ -800,19 +813,20 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
         coefficients_b = (coefficients_a if np.array_equal(q_aa[start:done], q_bb[start:done])
                           else np.matmul(hermite, np.array(phis_b)[..., None])[..., 0])
         evens, odds = _trimmed_rows(coefficients_a * coefficients_b)
-        terms = zip(evens, odds, norms)
+        repeats = [1] * len(norms)
         if not moving:
             # the variances hold: the last row serves every later layer
-            terms = chain(terms, repeat((evens[-1], odds[-1], norms[-1]), layers - done))
+            repeats[-1] += layers - done
             q_aa[done + 1:], q_bb[done + 1:] = q_a, q_b
             done = layers
-        for even, odd, norm in terms:
-            square, even_sum, odd_sum = c * c, 0.0, 0.0
-            for p in even:
-                even_sum = even_sum * square + p
-            for p in odd:
-                odd_sum = odd_sum * square + p
-            c = (weight * (even_sum + c * odd_sum) + bias) / norm
-            c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
-            c_ab.append(c)
+        for even, odd, norm, count in zip(evens, odds, norms, repeats):
+            for _ in range(count):
+                c_in, c = c, (weight * _sum(even, odd, c) + bias) / norm
+                c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
+                c_ab.append(c)
+                if c == c_in:
+                    # c maps to itself: so it does on every repeat of the row
+                    break
+    # a correlation that holds fills the layers left
+    c_ab += [c] * (layers + 1 - len(c_ab))
     return Trajectory(layers=layers, q_aa=q_aa, q_bb=q_bb, c_ab=np.array(c_ab))

@@ -98,12 +98,11 @@ def _rule(order: int) -> QuadratureRule:
 def hermite_matrix(order: int) -> np.ndarray:
     """``w_i h_n(z_i)`` for n < order over the nodes z_i and weights w_i.
 
-    Times the values of f at the nodes (:func:`node_values`) it gives
-    a_n = E[f(z) h_n(z)]. On an M-node rule h_0 ... h_{M-1} are discretely
-    orthonormal, so sum(a**2) equals E[f(z)^2] on the rule to rounding
-    (Parseval). The recurrence h_{n+1} = (z h_n - sqrt(n) h_{n-1}) /
-    sqrt(n + 1) runs on sqrt(w_i) h_n(z_i), an orthogonal matrix, so
-    nothing overflows.
+    Times the values of f at the nodes it gives a_n = E[f(z) h_n(z)]. On
+    an M-node rule h_0 ... h_{M-1} are discretely orthonormal, so
+    sum(a**2) equals E[f(z)^2] on the rule to rounding (Parseval). The
+    recurrence h_{n+1} = (z h_n - sqrt(n) h_{n-1}) / sqrt(n + 1) runs on
+    sqrt(w_i) h_n(z_i), an orthogonal matrix, so nothing overflows.
     """
     r = _rule(order)
     root_w = np.sqrt(r.weights)
@@ -115,11 +114,6 @@ def hermite_matrix(order: int) -> np.ndarray:
     rows *= root_w
     rows.setflags(write=False)
     return rows
-
-
-def node_values(f, quad: QuadratureRule) -> np.ndarray:
-    """``f`` at the nodes of ``quad``, which must all be finite."""
-    return finite_at_nodes(np.asarray(f(quad.nodes), dtype=float), quad)
 
 
 def finite_at_nodes(values: np.ndarray, quad: QuadratureRule) -> np.ndarray:

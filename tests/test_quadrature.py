@@ -5,7 +5,9 @@ coefficients; they are tested through ``meanfield.covariance_map`` at
 sigma_w^2 = 1, sigma_b^2 = 0, where the map is the bare pair moment. The
 coefficients themselves are tested with ``meanfield.Spectrum``.
 """
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from signalprop import meanfield as mf
 from signalprop.activations import builtin
 from signalprop.errors import DomainError, NumericError
-from signalprop.quadrature import MAX_ORDER, QuadratureRule, node_values, rule
+from signalprop.quadrature import MAX_ORDER, QuadratureRule, finite_at_nodes, rule
 
 # Monte Carlo oracles, 1e8 standard-normal samples each (standard error
 # about 3e-5). E[tanh^2(sqrt(0.8) z)] and E[tanh(u1) tanh(u2)] with
@@ -61,7 +63,7 @@ class TestRule:
 
 def expect(f, quad):
     """E[f(z)] for z ~ N(0, 1) on the rule ``quad``."""
-    return float(quad.weights @ node_values(f, quad))
+    return float(quad.weights @ finite_at_nodes(np.asarray(f(quad.nodes), dtype=float), quad))
 
 
 class TestExpect1d:
@@ -83,6 +85,18 @@ class TestExpect1d:
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(NumericError):
             expect(lambda z: np.full_like(z, np.nan), rule(21))
+
+    @pytest.mark.parametrize("read", ["d_phi_sq", "b"])
+    def test_nonfinite_d_phi_names_its_node(self, read):
+        # phi' is nan above x = 2: the first node where it is names itself,
+        # whichever reader of phi' comes first
+        act = dataclasses.replace(
+            TANH, d_phi=lambda x: np.where(x > 2.0, np.nan, 1.0 - np.tanh(x) ** 2))
+        quad, q = rule(21), 0.8
+        bad = quad.nodes[math.sqrt(q) * quad.nodes > 2.0][0]
+        with pytest.raises(NumericError,
+                           match=f"^integrand is non-finite at node z={re.escape(repr(bad))}$"):
+            getattr(mf.Spectrum(act, q, quad), read)
 
 
 class TestPairExpectation:
