@@ -60,8 +60,7 @@ def _longest_in_window_run(series: np.ndarray, floor: float, ceiling: float):
 
 def fit_exponential(series, floor: float = DEFAULT_FLOOR,
                     ceiling: float = DEFAULT_CEILING) -> ExpFit:
-    """OLS fit of log(series_l) against l over the in-window run, by the
-    closed-form least-squares line.
+    """OLS fit of log(series_l) against l over the in-window run.
 
     The window must satisfy 0 < floor < ceiling.
     """
@@ -76,20 +75,16 @@ def fit_exponential(series, floor: float = DEFAULT_FLOOR,
             f"need >= 3 points strictly inside ({floor}, {ceiling}); "
             f"longest run has {n_points}"
         )
+    l = np.arange(start, stop, dtype=float)
     y = np.log(series[start:stop])
-    # the least-squares line in closed form, on the data less their means
-    l_mean = start + 0.5 * (n_points - 1)
-    l_centred = np.arange(start, stop) - l_mean
-    y_mean = float(y.mean())
-    y_centred = y - y_mean
-    slope = float(l_centred @ y_centred) / float(l_centred @ l_centred)
-    intercept = y_mean - slope * l_mean
-    ss_res = float(np.sum((y_centred - slope * l_centred) ** 2))
-    ss_tot = float(np.sum(y_centred ** 2))
+    slope, intercept = np.polyfit(l, y, 1)
+    predicted = slope * l + intercept
+    ss_res = float(np.sum((y - predicted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     xi = math.inf if abs(slope) <= _FLAT_SLOPE else -1.0 / slope
-    return ExpFit(xi=xi, log_intercept=intercept, r_squared=r_squared,
-                  window=(start, stop - 1), n_points=n_points, slope=slope)
+    return ExpFit(xi=xi, log_intercept=float(intercept), r_squared=r_squared,
+                  window=(start, stop - 1), n_points=n_points, slope=float(slope))
 
 
 def residuals(traj: Trajectory, fp: FixedPoint) -> tuple[np.ndarray, np.ndarray]:

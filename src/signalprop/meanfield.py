@@ -17,9 +17,9 @@ q, quadrature rule), a :class:`Spectrum`, made from one pass of phi and at
 most one of phi' over the nodes. All records come from one small cache,
 ``_spectrum``, so the record at q* that the q* solver evaluated is the one
 that ``chi1``, ``xi_q``, the c* solver and ``correlation_slope`` read, and
-a second solve at the same point makes no pass of phi. phi itself is
-evaluated in one place, ``_phi_pass``, which gives the node values and
-E[phi^2] to records and trajectories alike.
+a second solve at the same point makes no pass of phi. phi and phi' are
+evaluated on the nodes in one place, ``_node_pass``, which gives the node
+values and E[phi^2] or E[phi'^2] to records and trajectories alike.
 
 Every Mehler series, a record's or a trajectory's, is summed by one
 evaluator, ``_sum``: Horner's rule in c^2 on Python floats, with the even
@@ -35,14 +35,13 @@ sqrt(q_a q_b) that every correlation is divided by, without overflow.
 
 A trajectory makes no record and builds no ``_series``; it runs in two
 passes over blocks of at most ``_TRAJECTORY_BLOCK`` layers. The first
-iterates the variances alone, one ``_phi_pass`` per new variance, and
-forms each layer's norm. The second takes every moving layer's Hermite
-coefficients from one stacked product with the Hermite matrix, trims all
-their series at once by the same rule (``_trimmed_rows``), and runs the
-correlation through them with ``_sum``. Once neither variance moves, the
+iterates the variances alone, one ``_node_pass`` of phi per new variance,
+and forms each layer's norm. The second takes every moving layer's
+Hermite coefficients from one stacked product with the Hermite matrix,
+trims all their series at once by the same rule (``_trimmed_rows``), and
+runs the correlation through them with ``_sum``. Once neither variance moves, the
 last layer's terms and norm serve every later layer, so a layer is one
-series evaluation in c; once c maps to itself too, the trajectory stops
-and the layers left repeat it.
+series evaluation in c.
 
 With dropout keep-probability rho < 1 the variance map carries the
 effective weight variance sigma_w^2 / rho, while the covariance map keeps
@@ -193,10 +192,9 @@ class _lazy:
 class Spectrum:
     """phi at one variance q on one quadrature rule.
 
-    Its pass of phi is ``_phi_pass``, the one that trajectories make too;
-    it is the only place in this module that evaluates phi' on the rule's
-    nodes. Everything is computed on first use, with at most one pass of
-    phi and one of phi': ``phi_sq`` = E[phi(sqrt(q) z)^2];
+    Its passes of phi and phi' are ``_node_pass``, which trajectories make
+    for phi too. Everything is computed on first use, with at most one
+    pass of phi and one of phi': ``phi_sq`` = E[phi(sqrt(q) z)^2];
     ``a`` and ``b``, the Hermite coefficients of phi and phi';
     ``d_phi_sq`` = E[phi'^2]; ``phi_sq_rate`` = dE[phi^2]/dq;
     ``a_sq_series`` and ``b_sq_series``, the evaluators (``_series``) of
@@ -211,7 +209,6 @@ class Spectrum:
 
     def __init__(self, act: Activation, q: float, quad: QuadratureRule):
         self.act, self.q, self.quad = act, q, quad
-        self._root_q = math.sqrt(q)
         if q == 0.0:
             slope = float(act.d_phi(np.float64(0.0)))
             self.d_phi_sq = self.phi_sq_rate = slope * slope
@@ -220,7 +217,7 @@ class Spectrum:
 
     @_lazy
     def _phi(self) -> tuple[np.ndarray, float]:
-        return _phi_pass(self.act, self.q, self.quad)
+        return _node_pass(self.act.phi, self.q, self.quad, self.act.bounded)
 
     @_lazy
     def phi_sq(self) -> float:
@@ -228,9 +225,8 @@ class Spectrum:
         return _checked_phi_sq(self.act, self.q, self._phi[1])
 
     @_lazy
-    def _d_phi(self) -> np.ndarray:
-        values = np.asarray(self.act.d_phi(self._root_q * self.quad.nodes), dtype=float)
-        return finite_at_nodes(values, self.quad)
+    def _d_phi(self) -> tuple[np.ndarray, float]:
+        return _node_pass(self.act.d_phi, self.q, self.quad, self.act.bounded)
 
     @_lazy
     def a(self) -> np.ndarray:
@@ -238,7 +234,7 @@ class Spectrum:
 
     @_lazy
     def b(self) -> np.ndarray:
-        return hermite_matrix(self.quad.order) @ self._d_phi
+        return hermite_matrix(self.quad.order) @ self._d_phi[0]
 
     @_lazy
     def a_sq_series(self):
@@ -250,27 +246,29 @@ class Spectrum:
 
     @_lazy
     def d_phi_sq(self) -> float:
-        return float(self.quad.weights @ self._d_phi ** 2)
+        return self._d_phi[1]
 
     @_lazy
     def phi_sq_rate(self) -> float:
         """dE[phi^2]/dq = E[z phi phi'] / sqrt(q) (Stein)."""
-        stein = self.quad.nodes * self._phi[0] * self._d_phi
-        return float(self.quad.weights @ stein) / self._root_q
+        stein = self.quad.nodes * self._phi[0] * self._d_phi[0]
+        return float(self.quad.weights @ stein) / math.sqrt(self.q)
 
 
-def _phi_pass(act: Activation, q: float, quad: QuadratureRule) -> tuple[np.ndarray, float]:
-    """phi(sqrt(q) z) on the nodes of ``quad``, and E[phi^2] on the rule.
+def _node_pass(f, q: float, quad: QuadratureRule,
+               bounded: bool) -> tuple[np.ndarray, float]:
+    """f(sqrt(q) z) on the nodes of ``quad``, and E[f^2] on the rule.
 
-    The one evaluation of phi in this module, for records and trajectories
-    alike. The weights are positive, so E[phi^2] is finite only if every
-    node value is; the per-node check of ``finite_at_nodes``, which names
-    the first non-finite node, runs only when it is not. An unbounded phi's
-    E[phi^2] may still overflow from finite node values: its readers take
-    it through ``_checked_phi_sq``.
+    The one evaluation of phi and phi' in this module, for records and
+    trajectories alike. The weights are positive, so E[f^2] is finite only
+    if every node value is; the per-node check of ``finite_at_nodes``,
+    which names the first non-finite node, runs only when it is not. For
+    an unbounded activation (``bounded`` false) E[f^2] may still overflow
+    from finite node values, without a warning: E[phi^2]'s readers take it
+    through ``_checked_phi_sq``.
     """
-    values = np.asarray(act.phi(math.sqrt(q) * quad.nodes), dtype=float)
-    if act.bounded:
+    values = np.asarray(f(math.sqrt(q) * quad.nodes), dtype=float)
+    if bounded:
         second = float(quad.weights @ values ** 2)
     else:
         with np.errstate(over="ignore"):
@@ -281,7 +279,7 @@ def _phi_pass(act: Activation, q: float, quad: QuadratureRule) -> tuple[np.ndarr
 
 
 def _checked_phi_sq(act: Activation, q: float, second: float) -> float:
-    """E[phi^2] from ``_phi_pass``. An unbounded phi's overflows at q near
+    """E[phi^2] from ``_node_pass``. An unbounded phi's overflows at q near
     the largest double, which raises NumericError; the check costs a
     bounded phi nothing."""
     if second == math.inf and not act.bounded:
@@ -758,20 +756,19 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
     approximation), clamped to [-1, 1]. The numbers are those of the
     public maps, bit for bit, from two passes over each block of at most
     ``_TRAJECTORY_BLOCK`` layers whose variances move. Pass 1 runs the
-    variance recursion alone: one ``_phi_pass`` per new variance (equal
-    variances share one) and the norm sqrt(q_a q_b) of the next variances
-    (``_root_product``, which does not overflow at huge sigma_w^2). Pass 2
-    forms every layer's Hermite coefficients a_n(q_a), a_n(q_b) in one
-    stacked product with the Hermite matrix, row by row the same numbers
-    as a record's; the products a_n(q_a) a_n(q_b), trimmed by
-    ``_trimmed_rows``, then carry the correlation through the block by
-    ``_sum``. Once both next variances equal the current ones bit for bit
-    they stay put, and the last layer's terms and norm serve every later
-    layer: one series evaluation and a clamp, until c maps to itself bit
-    for bit, when it fills the layers left. No record is
-    fetched and no ``_series`` built, so the cache keeps the q* solver's
-    records. A layer whose next variances have a scaled product of 0
-    raises DegenerateVarianceError, before the correlation reaches it.
+    variance recursion alone: one ``_node_pass`` of phi per new variance
+    (equal variances share one) and the norm sqrt(q_a q_b) of the next
+    variances (``_root_product``, which does not overflow at huge
+    sigma_w^2). Pass 2 forms every layer's Hermite coefficients a_n(q_a),
+    a_n(q_b) in one stacked product with the Hermite matrix, row by row
+    the same numbers as a record's; the products a_n(q_a) a_n(q_b),
+    trimmed by ``_trimmed_rows``, then carry the correlation through the
+    block by ``_sum``. Once both next variances equal the current ones bit
+    for bit they stay put, and the last layer's terms and norm serve every
+    later layer: one series evaluation and a clamp. No record is fetched
+    and no ``_series`` built, so the cache keeps the q* solver's records.
+    A layer whose next variances have a scaled product of 0 raises
+    DegenerateVarianceError, before the correlation reaches it.
     """
     if layers < 1:
         raise DomainError(f"layers must be >= 1, got {layers}")
@@ -798,7 +795,7 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
         while moving and done < layers and done - start < _TRAJECTORY_BLOCK:
             for q in (q_a, q_b):
                 if q not in passes:
-                    values, second = _phi_pass(act, q, quad)
+                    values, second = _node_pass(act.phi, q, quad, act.bounded)
                     passes[q] = values, gain * _checked_phi_sq(act, q, second) + bias
             (phi_a, q_a_next), (phi_b, q_b_next) = passes[q_a], passes[q_b]
             phis_a.append(phi_a)
@@ -821,12 +818,7 @@ def iterate_trajectory(hp: HyperParams, act: Activation,
             done = layers
         for even, odd, norm, count in zip(evens, odds, norms, repeats):
             for _ in range(count):
-                c_in, c = c, (weight * _sum(even, odd, c) + bias) / norm
+                c = (weight * _sum(even, odd, c) + bias) / norm
                 c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
                 c_ab.append(c)
-                if c == c_in:
-                    # c maps to itself: so it does on every repeat of the row
-                    break
-    # a correlation that holds fills the layers left
-    c_ab += [c] * (layers + 1 - len(c_ab))
     return Trajectory(layers=layers, q_aa=q_aa, q_bb=q_bb, c_ab=np.array(c_ab))

@@ -98,25 +98,6 @@ def test_recovery_over_scales(xi, amplitude):
     assert math.isclose(fit.xi, xi, rel_tol=1e-8)
 
 
-@given(xi=st.floats(1.0, 200.0), grows=st.booleans(), layers=st.integers(10, 2000),
-       transient=st.integers(0, 500), noise=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_xi_matches_polyfit_on_noisy_series(xi, grows, layers, transient, noise, seed):
-    # log-normal noise up to one layer's decay on a decaying or growing
-    # exponential, capped at 1, behind a transient above the ceiling;
-    # np.polyfit over the fit's own window is the reference
-    slope = 1.0 / xi if grows else -1.0 / xi
-    start = math.log(2e-10) if grows else math.log(0.05)
-    jitter = noise / xi * np.random.default_rng(seed).standard_normal(layers)
-    logs = np.minimum(start + slope * np.arange(layers) + jitter, 0.0)
-    series = np.concatenate([np.ones(transient), np.exp(logs)])
-    fit = analysis.fit_exponential(series)
-    lo, hi = fit.window
-    reference, _ = np.polyfit(np.arange(lo, hi + 1), np.log(series[lo:hi + 1]), 1)
-    assert math.isclose(fit.xi, -1.0 / reference, rel_tol=1e-12)
-
-
 def loop_longest_run(series, floor, ceiling):
     """Reference: the longest in-window run found by a Python loop."""
     ok = (series > floor) & (series < ceiling) & np.isfinite(series)

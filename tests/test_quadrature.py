@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from signalprop import meanfield as mf
 from signalprop.activations import builtin
 from signalprop.errors import DomainError, NumericError
-from signalprop.quadrature import MAX_ORDER, QuadratureRule, finite_at_nodes, rule
+from signalprop.quadrature import MAX_ORDER, QuadratureRule, rule
 
 # Monte Carlo oracles, 1e8 standard-normal samples each (standard error
 # about 3e-5). E[tanh^2(sqrt(0.8) z)] and E[tanh(u1) tanh(u2)] with
@@ -62,8 +62,9 @@ class TestRule:
 
 
 def expect(f, quad):
-    """E[f(z)] for z ~ N(0, 1) on the rule ``quad``."""
-    return float(quad.weights @ finite_at_nodes(np.asarray(f(quad.nodes), dtype=float), quad))
+    """E[f(z)] for z ~ N(0, 1) on the rule ``quad``, from f on its nodes as
+    meanfield evaluates phi and phi' there."""
+    return float(quad.weights @ mf._node_pass(f, 1.0, quad, bounded=False)[0])
 
 
 class TestExpect1d:
